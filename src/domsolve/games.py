@@ -258,12 +258,13 @@ def game_from_json_dict(data: dict) -> OrdinalBimatrix | CardinalBimatrix | Ordi
 
 
 def _rank_columns(u: np.ndarray) -> np.ndarray:
-    """Ranks 1..m down each column (1 = smallest payoff)."""
-    return u.argsort(axis=0, kind="stable").argsort(axis=0, kind="stable") + 1
+    """Ranks 1..m down each column (1 = smallest payoff); leading axes of
+    ``u`` index a stack of matrices."""
+    return u.argsort(axis=-2, kind="stable").argsort(axis=-2, kind="stable") + 1
 
 
 def _rank_rows(u: np.ndarray) -> np.ndarray:
-    return u.argsort(axis=1, kind="stable").argsort(axis=1, kind="stable") + 1
+    return u.argsort(axis=-1, kind="stable").argsort(axis=-1, kind="stable") + 1
 
 
 def sample_baseline(m: int, n: int, seed: Seed) -> OrdinalBimatrix:

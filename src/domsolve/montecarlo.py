@@ -20,9 +20,11 @@ import numpy as np
 from scipy import stats
 
 from . import _simkernels as kernels
-from . import exact, games
-from .games import COL, GameClass, Seed, UNIFORM
-from .rationalizability import rationalizable_sets
+from . import exact, games, rationalizability
+from .games import GameClass, Seed, UNIFORM
+# The per-game reference, bound here for callers that wrap or compare it
+# (perfbench/tracing.py installs a span on montecarlo.rationalizable_sets).
+from .rationalizability import rationalizable_sets  # noqa: F401
 
 # Survivor/undominated metrics report the column player's counts (the first
 # player's, for N-player sources); iteration metrics condition on
@@ -189,10 +191,14 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
         solvable = out["solvable"]
         iters = out["iterations"]
         u0 = out["undominated"][0]
+        s0 = out["survivors"][0]
         return {
             "solvable": int(solvable.sum()),
             "iter_sum": int(iters[solvable].sum()),
             "iter_sq": int((iters[solvable] ** 2).sum()),
+            "sc_sum": int(s0.sum()),
+            "sc_sq": int((s0.astype(np.int64) ** 2).sum()),
+            "sc_hist": Counter(np.asarray(s0).tolist()),
             "u_hist": Counter(np.asarray(u0).tolist()),
         }
     row_ranks, col_ranks = kernels.sample_rank_batch(rng, size, src.m, src.n, src.game_class)
@@ -217,52 +223,36 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
 
 
 def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.CardinalBimatrix:
-    if src.game_class is GameClass.BASELINE:
-        u_row = games._resample_ties(
-            rng, games._draw_matrix(rng, src.m, src.n, src.distribution), 0, src.distribution
-        )
-        u_col = games._resample_ties(
-            rng, games._draw_matrix(rng, src.m, src.n, src.distribution), 1, src.distribution
-        )
-        game = games.CardinalBimatrix(u_row.tolist(), u_col.tolist())
-    else:
-        game = games._sample_class_impl(rng, src.game_class, src.m, src.n, src.distribution)
+    game = games._sample_class_impl(rng, src.game_class, src.m, src.n, src.distribution)
     if src.crra_alpha is not None and src.crra_alpha != 1.0:
         game = games.apply_crra(game, src.crra_alpha)
     return game
 
 
 def _mixed_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
+    """Mixed, pure and point-rationalizable tallies of one batch. Games are
+    drawn one at a time by :func:`_draw_cardinal_game` (the stream layout of
+    the mixed metrics) and decided together."""
     rng = spec.seed.generator(index)
-    solvable = 0
-    iter_sum = 0
-    iter_sq = 0
-    rat_cols_sum = 0
-    rat_cols_sq = 0
-    pure_solvable = 0
-    prat_unique = 0
-    for _ in range(size):
-        game = _draw_cardinal_game(rng, spec.source)
-        report = rationalizable_sets(game)
-        if report.mixed_solvable:
-            solvable += 1
-            iter_sum += report.mixed_iterations
-            iter_sq += report.mixed_iterations**2
-        if all(len(s) == 1 for s in report.pure_survivors):
-            pure_solvable += 1
-        if all(len(s) == 1 for s in report.point_rationalizable):
-            prat_unique += 1
-        k = len(report.rationalizable[COL])
-        rat_cols_sum += k
-        rat_cols_sq += k * k
+    drawn = [_draw_cardinal_game(rng, spec.source) for _ in range(size)]
+    u_row = np.array([g.u_row for g in drawn])
+    u_col = np.array([g.u_col for g in drawn])
+    mixed = rationalizability.rationalizable_batch(u_row, u_col)
+    rat_r, rat_c = (alive.sum(axis=1) for alive in mixed["rationalizable"])
+    solvable = (rat_r == 1) & (rat_c == 1)
+    iters = mixed["iterations"][solvable]
+    row_ranks, col_ranks = games._rank_columns(u_row), games._rank_rows(u_col)
+    count_r, count_c = kernels.point_rationalizable_counts(row_ranks, col_ranks)
     return {
-        "solvable": solvable,
-        "iter_sum": iter_sum,
-        "iter_sq": iter_sq,
-        "rat_cols_sum": rat_cols_sum,
-        "rat_cols_sq": rat_cols_sq,
-        "pure_solvable": pure_solvable,
-        "prat_unique": prat_unique,
+        "solvable": int(solvable.sum()),
+        "iter_sum": int(iters.sum()),
+        "iter_sq": int((iters**2).sum()),
+        "rat_cols_sum": int(rat_c.sum()),
+        "rat_cols_sq": int((rat_c**2).sum()),
+        "pure_solvable": int(kernels.eliminate_batch(row_ranks, col_ranks)["solvable"].sum()),
+        "prat_unique": int(((count_r == 1) & (count_c == 1)).sum()),
+        "lp_checks": mixed["lp_checks"],
+        "lp_fallbacks": mixed["lp_fallbacks"],
     }
 
 

@@ -133,6 +133,16 @@ def test_simulate_nplayer(capsys):
     assert 0.4 < float(rows[0]["estimate"]) < 0.75
 
 
+def test_simulate_nplayer_survivor_metrics(capsys):
+    for metric in ("survivor-mean", "survivor-dist"):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--metric", metric, "--dims", "2,2,2",
+            "--samples", "100", "--seed", "1",
+        )
+        assert code == 0 and parse_csv(out)
+
+
 def test_simulate_json_format(capsys):
     code, out, _ = run_cli(
         capsys,

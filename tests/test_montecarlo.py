@@ -1,9 +1,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from domsolve import exact
-from domsolve.games import GameClass, Seed
+from domsolve.games import COL, GameClass, Seed
 from domsolve.montecarlo import (
     COND_ITERATIONS,
     MIXED_COND_ITERATIONS,
@@ -26,7 +27,10 @@ from domsolve.montecarlo import (
     run,
     solvability_chain,
     sweep,
+    _draw_cardinal_game,
+    _mixed_batch_tallies,
 )
+from domsolve.rationalizability import rationalizable_sets
 
 SEED = Seed(20240, 0)
 
@@ -123,6 +127,88 @@ def test_nplayer_metrics():
     assert abs(est.mean - want) < 3 * est.se
     hist = run(ExperimentSpec(UNDOMINATED_DIST, GameSource(dims=(2, 2, 2)), 50_000, SEED))
     assert abs(hist.freq(1) - 1 / 8) < 3 * hist.se(1) + 1e-9
+
+
+def test_nplayer_survivor_metrics():
+    # The first player's counts are reported: with dims (n, 2, 1) that is
+    # the column player of a 2 x n game (the third player has one action).
+    n = 5
+    est = run(ExperimentSpec(SURVIVOR_MEAN, GameSource(dims=(n, 2, 1)), 20_000, SEED))
+    want = float(exact.mean_survivors_2xn(n))
+    assert abs(est.mean - want) <= 3 * est.se, (est.mean, want)
+    hist = run(ExperimentSpec(SURVIVOR_DIST, GameSource(dims=(2, 2, 2)), 2_000, SEED))
+    assert sum(hist.counts.values()) == 2_000
+
+
+def scalar_mixed_tallies(spec, index, size):
+    """The per-game loop that the batched mixed tallies replaced: draw each
+    game and decide it with the scalar reference ``rationalizable_sets``."""
+    rng = spec.seed.generator(index)
+    out = dict.fromkeys(
+        ("solvable", "iter_sum", "iter_sq", "rat_cols_sum", "rat_cols_sq",
+         "pure_solvable", "prat_unique"),
+        0,
+    )
+    for _ in range(size):
+        report = rationalizable_sets(_draw_cardinal_game(rng, spec.source))
+        if report.mixed_solvable:
+            out["solvable"] += 1
+            out["iter_sum"] += report.mixed_iterations
+            out["iter_sq"] += report.mixed_iterations**2
+        out["pure_solvable"] += all(len(s) == 1 for s in report.pure_survivors)
+        out["prat_unique"] += all(len(s) == 1 for s in report.point_rationalizable)
+        k = len(report.rationalizable[COL])
+        out["rat_cols_sum"] += k
+        out["rat_cols_sq"] += k * k
+    return out
+
+
+def _batch_matches_scalar(source, seed, size):
+    spec = ExperimentSpec(MIXED_PI, source, size, seed)
+    batch = _mixed_batch_tallies(spec, 0, size)
+    assert batch.pop("lp_fallbacks") <= batch.pop("lp_checks")
+    assert batch == scalar_mixed_tallies(spec, 0, size), source
+
+
+@pytest.mark.parametrize(
+    "source",
+    [GameSource(m=4, n=4, game_class=c) for c in GameClass]
+    + [
+        GameSource(m=3, n=5, game_class=GameClass.STRAT_COMPLEMENTS),
+        GameSource(m=5, n=3, game_class=GameClass.CONSTANT_SUM),
+        GameSource(m=4, n=4, distribution="normal"),
+        GameSource(m=5, n=6, distribution="normal"),
+        GameSource(m=4, n=4, crra_alpha=0.41),
+        GameSource(m=2, n=5),
+        GameSource(m=5, n=2),
+        GameSource(m=1, n=4),
+        GameSource(m=4, n=1),
+    ],
+    ids=lambda s: f"{s.m}x{s.n}-{s.game_class.value}-{s.distribution}-{s.crra_alpha}",
+)
+def test_mixed_batch_matches_scalar_reference(source):
+    _batch_matches_scalar(source, Seed(611, source.m * 10 + source.n), 96)
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.sampled_from(list(GameClass)),
+    st.sampled_from(["uniform", "normal", "crra"]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=30, deadline=None)
+def test_mixed_batch_matches_scalar_property(m, n, game_class, payoffs, master):
+    if game_class.requires_square:
+        n = m
+    source = GameSource(
+        m=m,
+        n=n,
+        game_class=game_class,
+        distribution="normal" if payoffs == "normal" else "uniform",
+        crra_alpha=0.41 if payoffs == "crra" else None,
+    )
+    _batch_matches_scalar(source, Seed(master), 12)
 
 
 def test_mixed_metrics_small():

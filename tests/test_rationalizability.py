@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from domsolve import _simkernels as kernels
+from domsolve import rationalizability
 from domsolve.elimination import iterate
 from domsolve.games import (
     COL,
@@ -18,9 +20,12 @@ from domsolve.games import (
 )
 from domsolve.rationalizability import (
     MixedCertificate,
+    _default_tol,
+    _payoff_view,
     is_mixed_dominated,
     point_rationalizable_sets,
     rationalizable_sets,
+    solve_gap_games,
 )
 
 # Row action 2 is beaten by the even mix of actions 0 and 1 but by neither
@@ -219,3 +224,93 @@ def test_mixed_solvable_2x2_equals_pure():
         assert report.mixed_solvable == all(
             len(s) == 1 for s in report.pure_survivors
         )
+
+
+def linprog_reference(payoffs, action, tol=None):
+    """The scipy/HiGHS formulation the batched simplex replaced: maximize
+    eps s.t. sigma . u(., j) >= u(action, j) + eps for every opponent action
+    j, sigma a distribution over the other own actions. Returns (verdict, LP
+    value); a positive verdict needs the re-verified margin above tol."""
+    others = [k for k in range(payoffs.shape[0]) if k != action]
+    sub = payoffs[others]
+    target = payoffs[action]
+    if tol is None:
+        tol = _default_tol(payoffs)
+    k = len(others)
+    c = np.zeros(k + 1)
+    c[-1] = -1.0
+    res = linprog(
+        c,
+        A_ub=np.hstack([-sub.T, np.ones((payoffs.shape[1], 1))]),
+        b_ub=-target,
+        A_eq=np.hstack([np.ones((1, k)), np.zeros((1, 1))]),
+        b_eq=[1.0],
+        bounds=[(0, None)] * k + [(None, None)],
+        method="highs",
+    )
+    assert res.success
+    value = -res.fun
+    if value <= tol:
+        return False, value
+    sigma = np.clip(res.x[:k], 0.0, None)
+    sigma /= sigma.sum()
+    return float((sigma @ sub - target).min()) > tol, value
+
+
+def _gap_check_cases():
+    """Payoff views (own x opponent) of random games from 2x2 to 6x6: float
+    cardinal games, integer payoffs in {0..3} (degenerate LPs, exact zero
+    margins) and normal payoffs scaled by 1e6."""
+    rng = np.random.default_rng(609)
+    for m in range(2, 7):
+        for n in range(2, 7):
+            for i in range(2):
+                g = sample_cardinal(m, n, "uniform", Seed(609, 100 * m + 10 * n + i))
+                yield g, ROW, _payoff_view(g, ROW)
+                yield g, COL, _payoff_view(g, COL)
+                for payoffs in (
+                    rng.integers(0, 4, (m, n)).astype(float),
+                    rng.integers(0, 4, (n, m)).astype(float),
+                    1e6 * rng.standard_normal((m, n)),
+                    1e6 * rng.standard_normal((n, m)),
+                ):
+                    yield None, None, payoffs
+
+
+def test_gap_solver_matches_linprog_reference():
+    checks = 0
+    for game, player, payoffs in _gap_check_cases():
+        scale = max(1.0, float(np.abs(payoffs).max()))
+        own = payoffs.shape[0]
+        gaps = np.stack(
+            [np.delete(payoffs, x, axis=0) - payoffs[x] for x in range(own)]
+        )
+        solution = solve_gap_games(gaps)
+        # lower <= value <= upper up to the rounding of two dot products
+        assert (solution.lower <= solution.upper + 1e-12 * scale).all()
+        for x in range(own):
+            want, value = linprog_reference(payoffs, x)
+            assert (solution.lower[x] > _default_tol(payoffs)) == want
+            assert abs(solution.lower[x] - value) <= 1e-9 * scale
+            assert abs(solution.upper[x] - value) <= 1e-9 * scale
+            if game is not None:
+                cert = is_mixed_dominated(game, player, x)
+                assert (cert is not None) == want
+                if cert is not None:
+                    assert abs(cert.margin - value) <= 1e-9 * scale
+            checks += 1
+    assert checks == 1200
+
+
+def test_gap_solver_fallback_agrees(monkeypatch):
+    # With no pivots allowed every problem goes to HiGHS; the verdicts and
+    # certificates must not change, and each problem is counted.
+    rng = np.random.default_rng(610)
+    gaps = rng.random((40, 4, 5)) - rng.random((40, 1, 5))
+    fast = solve_gap_games(gaps)
+    monkeypatch.setattr(rationalizability, "_PIVOTS_PER_DIMENSION", 0)
+    slow = solve_gap_games(gaps)
+    assert not fast.fallback.any() and slow.fallback.all()
+    assert np.allclose(fast.lower, slow.lower, atol=1e-7)
+    assert ((fast.lower > 1e-9) == (slow.lower > 1e-9)).all()
+    assert (slow.lower <= slow.upper + 1e-6).all()
