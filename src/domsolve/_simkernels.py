@@ -4,7 +4,9 @@ Each kernel processes a whole batch of games as numpy arrays. Rank tensors
 are laid out as (batch, m, n) with the same conventions as the scalar game
 objects; the batched eliminator mirrors the simultaneous-deletion semantics
 of :mod:`domsolve.elimination` exactly (the test suite cross-checks the two
-game by game).
+game by game). The 2 x n CLT sampler draws no game at all: it samples the
+surviving column count from its exact law (:func:`records_law`), which
+:func:`survivors_2xn_from` derives from the order statistics of a game.
 
 Float payoff draws can tie with probability ~2**-53 per pair; ranking by
 argsort breaks such a tie deterministically. At the batch sizes used here
@@ -180,15 +182,48 @@ def survivors_2xn_from(c2: np.ndarray, row0_better: np.ndarray) -> np.ndarray:
     return np.where(solvable, 1, k)
 
 
-def survivors_2xn_batch(rng: np.random.Generator, batch: int, n: int) -> np.ndarray:
-    """Surviving column counts of random 2 x n games, O(n log n) per game.
+def records_law(n: int) -> np.ndarray:
+    """Float law p[k] (k = 0, 1, ...) of the number of undominated columns of
+    a random 2 x n game, s(n, k) / n!.
 
-    Column labels never matter, so the first column ranking is fixed to the
-    identity and only the second ranking is drawn.
+    By :func:`survivors_2xn_from` that number is the count of right-to-left
+    records of a uniform permutation, a sum of independent Bernoulli(1/i),
+    i = 1..n; the Poisson-binomial recurrence builds its law in
+    O(n * support). Only a tail that underflows to exactly 0.0 is dropped,
+    which changes no later entry.
     """
-    c2 = rng.random((batch, n)).argsort(axis=1)
-    row0_better = rng.random((batch, n)) < 0.5
-    return survivors_2xn_from(c2, row0_better)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    law = np.zeros(n + 2)
+    law[0] = 1.0
+    top = 0  # law[top + 1:] is exactly zero
+    for i in range(1, n + 1):
+        record = law[: top + 1] / i
+        law[: top + 1] *= (i - 1) / i
+        law[1 : top + 2] += record
+        top += 1
+        while law[top] == 0.0:
+            top -= 1
+    return law[: top + 1].copy()
+
+
+def survivors_2xn_batch(rng: np.random.Generator, batch: int, law: np.ndarray) -> np.ndarray:
+    """Surviving column counts of ``batch`` random 2 x n games, O(log n) each.
+
+    ``law`` is ``records_law(n)``. One uniform draws the undominated count k
+    from it. Given k, which row wins each undominated column is a fair coin
+    independent of k, so the game is solvable (one column survives) with
+    probability 2^(1-k), and otherwise all k survive; a second uniform
+    decides that.
+    """
+    # The float sum of the law may stop short of 1 or overshoot it early:
+    # clipping and pinning the end keeps every uniform inside the support.
+    cdf = np.minimum(np.cumsum(law), 1.0)
+    cdf[-1] = 1.0
+    u = rng.random((2, batch))
+    k = np.searchsorted(cdf, u[0], side="right")
+    solvable = u[1] < np.ldexp(1.0, 1 - k)
+    return np.where(solvable, 1, k)
 
 
 def sample_tensor_rank_batch(

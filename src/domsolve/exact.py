@@ -33,7 +33,7 @@ EXACT_LIMIT = 4096
 EULER_GAMMA = 0.5772156649015329
 
 _lock = threading.Lock()
-_stirling_cache: list[list[int]] = [[1]]  # row n=0 is [s(0,0)] = [1]
+_stirling_last: list[int] = [1]  # the latest row n, s(n, 0..n); row 0 is [1]
 _harmonic_cache: dict[int, list[Fraction]] = {}
 _digamma_gap_cache: list[Fraction] = [Fraction(0)]
 _trigamma_gap_cache: list[Fraction] = [Fraction(0)]
@@ -59,16 +59,19 @@ def stirling_row(n: int, exact_limit: int = EXACT_LIMIT) -> list[int]:
     _check_positive(n)
     if n > exact_limit:
         raise CapacityError(f"stirling_row supports n <= {exact_limit}")
+    global _stirling_last
     with _lock:
-        while len(_stirling_cache) <= n:
-            prev = _stirling_cache[-1]
-            size = len(_stirling_cache)  # building row `size`
+        # Only the latest row is kept (all rows up to n would take memory
+        # cubic in n); a smaller n is rebuilt from row 0.
+        row = _stirling_last if len(_stirling_last) <= n + 1 else [1]
+        for size in range(len(row), n + 1):  # building row `size`
             factor = size - 1
-            row = [0] * (size + 1)
-            for k in range(1, size + 1):
-                row[k] = factor * (prev[k] if k < len(prev) else 0) + prev[k - 1]
-            _stirling_cache.append(row)
-        return list(_stirling_cache[n][1:])
+            row = [0] + [
+                factor * (row[k] if k < size else 0) + row[k - 1]
+                for k in range(1, size + 1)
+            ]
+        _stirling_last = row
+        return row[1:]
 
 
 def harmonic(n: int, order: int = 1) -> Fraction:

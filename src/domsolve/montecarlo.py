@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
-from scipy import stats
 
 from . import _simkernels as kernels
 from . import exact, games, rationalizability
@@ -385,34 +384,63 @@ class CltReport:
     kurtosis: float
 
 
-def clt_check(n: int, samples: int, seed: Seed, batch_size: int = 512) -> CltReport:
+# Samples per random stream of clt_check; part of its stream layout.
+CLT_CHUNK = 1 << 16
+
+
+def _ks_normal(z: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of the sample ``z`` to the standard normal:
+    max_i max(i/N - Phi(z_(i)), Phi(z_(i)) - (i-1)/N) over the sorted sample.
+    Tied values share one Phi evaluation; over a run of ties the maximum sits
+    at the run's last i in the first term and at its first i in the second."""
+    values, counts = np.unique(z, return_counts=True)
+    phi = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in values.tolist()])
+    above = np.cumsum(counts) / z.size
+    below = np.concatenate(([0.0], above[:-1]))
+    return float(max((above - phi).max(), (phi - below).max()))
+
+
+def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
+    """Sample skewness and raw kurtosis (normal = 3), population moments."""
+    d = z - z.mean()
+    m2 = (d * d).mean()
+    return float((d**3).mean() / m2**1.5), float((d**4).mean() / (m2 * m2))
+
+
+def clt_check(n: int, samples: int, seed: Seed) -> CltReport:
     """Sample surviving column counts of 2 x n games, standardize with the
     exact mean/variance, and measure the fit to the standard normal.
 
-    ``kurtosis`` is the raw fourth standardized moment (normal = 3). Uses the
-    order-statistics fast path for 2 x n games; n >= 100 required.
+    ``kurtosis`` is the raw fourth standardized moment (normal = 3). The
+    counts are drawn from their exact law (:func:`_simkernels.records_law`,
+    built once per call), ``CLT_CHUNK`` samples per random stream, so a
+    sample costs O(log n); n >= 100 required.
     """
     if n < 100:
         raise ValueError("clt_check requires n >= 100")
-    values = np.empty(samples, dtype=np.int64)
-    done = 0
-    for index, size in enumerate(_batch_sizes(samples, batch_size)):
-        rng = seed.generator(index)
-        values[done : done + size] = kernels.survivors_2xn_batch(rng, size, n)
-        done += size
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    law = kernels.records_law(n)
+    values = np.concatenate(
+        [
+            kernels.survivors_2xn_batch(seed.generator(index), size, law)
+            for index, size in enumerate(_batch_sizes(samples, CLT_CHUNK))
+        ]
+    )
     mean = exact.mean_survivors_2xn(n, exact_limit=0)
     var = exact.var_survivors_2xn(n, exact_limit=0)
     z = (values - mean) / math.sqrt(var)
+    skewness, kurtosis = _skew_kurtosis(z)
     return CltReport(
         n=n,
         samples=samples,
-        ks_distance=float(stats.kstest(z, "norm").statistic),
+        ks_distance=_ks_normal(z),
         sample_mean=float(values.mean()),
         sample_var=float(values.var(ddof=1)),
         exact_mean=float(mean),
         exact_var=float(var),
-        skewness=float(stats.skew(z)),
-        kurtosis=float(stats.kurtosis(z, fisher=False)),
+        skewness=skewness,
+        kurtosis=kurtosis,
     )
 
 

@@ -12,9 +12,9 @@ mixture sigma bounds the value from below (it dominates by at least
 dominated iff ``lower`` exceeds the tolerance; verdicts with a gap inside the
 tolerance are conservatively classified "not dominated". A problem whose
 certificates do not meet, or that exceeds the pivot cap, is re-solved with
-HiGHS (``scipy.optimize.linprog``) and counted as a fallback; a solver
-malfunction can only surface as an explicit error, never as a silently wrong
-certificate.
+HiGHS (``scipy.optimize.linprog``, imported on first use) and counted as a
+fallback; a solver malfunction can only surface as an explicit error, never
+as a silently wrong certificate.
 
 :func:`rationalizable_sets` is the per-game reference; the Monte Carlo
 harness runs :func:`rationalizable_batch`, which decides one elimination
@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from . import _simkernels as kernels
 from .elimination import iterate
@@ -219,6 +218,14 @@ def _certificate_bounds(
     lower = (sigma[:, :, None] * gaps).sum(axis=1).min(axis=1)
     upper = (gaps * tau[:, None, :]).sum(axis=2).max(axis=1)
     return lower, upper
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first fallback: scipy
+    takes about a second to import and nothing else needs it."""
+    from scipy.optimize import linprog as highs
+
+    return highs(*args, **kwargs)
 
 
 def _highs_gap_lp(gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

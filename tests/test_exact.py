@@ -40,6 +40,19 @@ def test_stirling_rows():
         assert sum(stirling_row(n)) == math.factorial(n)
 
 
+def test_stirling_rows_match_rising_factorial_in_any_order():
+    # s(n, k) is the coefficient of x^k in x (x + 1) ... (x + n - 1).
+    want = {}
+    poly = [1]
+    for n in range(1, 61):
+        poly = [0] + poly
+        for k in range(len(poly) - 1):
+            poly[k] += (n - 1) * poly[k + 1]
+        want[n] = poly[1:]
+    for n in (60, 7, 33, 1, 60, 59, 2, 45):
+        assert stirling_row(n) == want[n]
+
+
 def test_stirling_log_concave_and_mode():
     for n in range(2, 201):
         row = stirling_row(n)

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domsolve import exact
+from domsolve import _simkernels as kernels, exact
 from domsolve.games import COL, GameClass, Seed
 from domsolve.montecarlo import (
     COND_ITERATIONS,
@@ -28,7 +33,9 @@ from domsolve.montecarlo import (
     solvability_chain,
     sweep,
     _draw_cardinal_game,
+    _ks_normal,
     _mixed_batch_tallies,
+    _skew_kurtosis,
 )
 from domsolve.rationalizability import rationalizable_sets
 
@@ -264,6 +271,73 @@ def test_sweep_rows_and_monotone_pi():
         sweep(SURVIVOR_DIST, sources, 100, SEED)
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 30, 77, 200])
+def test_records_law_matches_exact_distributions(n):
+    law = kernels.records_law(n)
+    undominated = exact.undominated_distribution_2xn(n)
+    assert law[0] == 0.0 and law.size <= n + 1
+    padded = np.zeros(n + 1)
+    padded[: law.size] = law
+    assert np.abs(padded[1:] - np.array([float(p) for p in undominated])).max() <= 1e-15
+    # Given k undominated columns the game is solvable with probability
+    # 2^(1-k); otherwise all k survive.
+    solvable = np.ldexp(1.0, -np.arange(n))  # k = 1..n
+    survivors = padded[1:] * (1 - solvable)
+    survivors[0] = (padded[1:] * solvable).sum()
+    want = np.array([float(p) for p in exact.survivor_distribution_2xn(n)])
+    assert np.abs(survivors - want).max() <= 1e-15
+
+
+class _ExtremeUniforms:
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, shape):
+        return np.full(shape, self.value)
+
+
+def test_law_sampler_stays_inside_the_support():
+    for n in (100, 1000, 10_000):
+        law = kernels.records_law(n)
+        # The float sum of the law at n = 10^4 ends below 1 - 2^-53.
+        top = kernels.survivors_2xn_batch(_ExtremeUniforms(np.nextafter(1.0, 0.0)), 3, law)
+        assert (top < law.size).all() and (law[top] > 0).all()
+        assert (kernels.survivors_2xn_batch(_ExtremeUniforms(0.0), 3, law) == 1).all()
+
+
+def test_law_sampler_moments_at_n30():
+    n = 30
+    law = kernels.records_law(n)
+    values = kernels.survivors_2xn_batch(np.random.default_rng(7), 200_000, law)
+    mean = float(exact.mean_survivors_2xn(n))
+    sd = math.sqrt(float(exact.var_survivors_2xn(n)))
+    assert abs(values.mean() - mean) <= 3 * sd / math.sqrt(values.size)
+    p1 = float(exact.solvable_probability_2xn(n))
+    assert abs((values == 1).mean() - p1) <= 3 * math.sqrt(p1 * (1 - p1) / values.size)
+
+
+def test_numpy_statistics_match_scipy():
+    from scipy import stats
+
+    rng = np.random.default_rng(11)
+    counts = kernels.survivors_2xn_batch(rng, 50_000, kernels.records_law(10_000))
+    lattice = (counts - 9.7) / 2.9
+    for z in (lattice, rng.standard_normal(20_000), rng.exponential(size=5000) - 1):
+        assert abs(_ks_normal(z) - stats.kstest(z, "norm").statistic) <= 1e-12
+        skew, kurt = _skew_kurtosis(z)
+        assert abs(skew - stats.skew(z)) <= 1e-12
+        assert abs(kurt - stats.kurtosis(z, fisher=False)) <= 1e-12
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, domsolve, domsolve.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_clt_check_small():
     report = clt_check(200, 20_000, SEED)
     se = math.sqrt(report.exact_var / report.samples)
@@ -271,6 +345,8 @@ def test_clt_check_small():
     assert 0 < report.ks_distance < 0.2
     with pytest.raises(ValueError):
         clt_check(50, 1000, SEED)
+    with pytest.raises(ValueError):
+        clt_check(200, 0, SEED)
 
 
 def test_bound_checks_small_grid():
