@@ -8,12 +8,25 @@ game by game). The 2 x n CLT sampler draws no game at all: it samples the
 surviving column count from its exact law (:func:`records_law`), which
 :func:`survivors_2xn_from` derives from the order statistics of a game.
 
+Pure dominance is decided on bitsets. :func:`outrank_bits` turns a player's
+(batch, profiles, K) rank stack into the set of own actions ranked strictly
+above each action at each profile, once per batch, from a sort and a prefix
+OR (no K x K comparison). The sets are packed into the smallest unsigned
+word holding K bits, or into ceil(K / 64) uint64 words. A round of
+:func:`_dominated` is then an AND over the alive profiles, an AND with the
+alive own actions, and a nonzero test; bimatrix and N-player batches share
+one round loop (:func:`_eliminate`), and :func:`batch_bytes` estimates a
+batch's peak memory for the capacity guard of :mod:`domsolve.montecarlo`.
+
 Float payoff draws can tie with probability ~2**-53 per pair; ranking by
 argsort breaks such a tie deterministically. At the batch sizes used here
 the event is negligible and intentionally not resampled.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Sequence
 
 import numpy as np
 
@@ -85,16 +98,147 @@ def sample_rank_batch(
     raise ValueError(f"unsupported game class {game_class}")
 
 
-def _dominated(ranks: np.ndarray, alive_own: np.ndarray, alive_opp: np.ndarray) -> np.ndarray:
-    """ranks: (B, P, K) rank of own action k against opponent action p.
+def _word_layout(k: int) -> tuple[np.dtype, int]:
+    """Word type and word count of a k-bit set: the smallest unsigned word
+    that holds k bits, or ceil(k / 64) uint64 words when k > 64."""
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        if k <= 8 * np.dtype(dtype).itemsize:
+            return np.dtype(dtype), 1
+    return np.dtype(np.uint64), -(-k // 64)
 
-    Own action x is dominated iff some alive y beats it at every alive p.
+
+def _one_hot_words(k: int) -> np.ndarray:
+    """(k, W) words whose row y is the set {y}: bit y % b of word y // b,
+    for words of b bits."""
+    dtype, words = _word_layout(k)
+    bits = 8 * dtype.itemsize
+    y = np.arange(k)
+    table = np.zeros((k, words), dtype=dtype)
+    table[y, y // bits] = np.left_shift(np.uint64(1), (y % bits).astype(np.uint64))
+    return table
+
+
+def batch_bytes(batch: int, dims: Sequence[int]) -> int:
+    """Upper estimate of the peak bytes of sampling and eliminating one batch
+    of games whose players have ``dims`` actions.
+
+    Every player's rank stack has batch * prod(dims) cells. Per cell and
+    player that is 32 bytes for the float draw with its two argsorts, or for
+    the sort keys and indices of :func:`outrank_bits` (the larger of the
+    two), plus four copies of the player's bitset words: stored, gathered
+    for the unfinished games, masked, and halved.
     """
-    gt = ranks[:, :, :, None] > ranks[:, :, None, :]  # (B, P, y, x)
-    ok = gt | ~alive_opp[:, :, None, None]
-    pair = ok.all(axis=1)
-    pair &= alive_own[:, :, None]
-    return pair.any(axis=1) & alive_own
+    cells = batch * math.prod(dims)
+    total = 0
+    for k in dims:
+        dtype, words = _word_layout(k)
+        total += cells * (32 + 4 * dtype.itemsize * words)
+    return total
+
+
+def outrank_bits(values: np.ndarray) -> np.ndarray:
+    """Bitsets (B, P, K, W) of a (B, P, K) rank or payoff stack: bit y of
+    entry [b, p, x] is set iff values[b, p, y] > values[b, p, x], so ties do
+    not outrank.
+
+    Sorted in descending order, the actions above x are the ones before its
+    tie run, so one prefix OR of one-hot words yields every set in
+    O(B P K W).
+    """
+    *lead, k = values.shape
+    one_hot = _one_hot_words(k)
+    rows = values.reshape(-1, k)
+    n = rows.shape[0]
+    # numpy's vectorised argsort covers 32- and 64-bit keys only
+    keys = rows.astype(np.promote_types(rows.dtype, np.int32), copy=False)
+    desc = keys.argsort(axis=1)[:, ::-1]
+    # Position-major (K, n, W), so each step of the prefix OR is one
+    # contiguous op. prefix[i] is the set of the first i + 1 actions in
+    # descending order: what position i + 1 is outranked by, unless it ties
+    # position i.
+    prefix = one_hot[desc.T]
+    for previous, current in zip(prefix, prefix[1:]):
+        current |= previous
+    above = prefix[:-1]
+    flat = (desc + np.arange(0, n * k, k)[:, None]).T
+    ranked = rows.reshape(-1)[flat]
+    tied = ranked[1:] == ranked[:-1]
+    if tied.any():
+        # a tied position gets the set of its run's first position
+        above[tied] = 0
+        np.maximum.accumulate(above, axis=0, out=above)
+    out = np.empty((n * k, one_hot.shape[1]), dtype=one_hot.dtype)
+    out[flat[0]] = 0
+    out[flat[1:]] = above
+    return out.reshape(*lead, k, one_hot.shape[1])
+
+
+def _dominated(
+    ranks: np.ndarray, alive_own: np.ndarray, alive_opp: np.ndarray, beaten: np.ndarray
+) -> np.ndarray:
+    """ranks: (B, P, K) rank (or payoff) of own action k against opponent
+    profile p; ``beaten`` is its :func:`outrank_bits`, built once per batch
+    by the caller.
+
+    Own action x is dominated iff some alive y beats it at every alive p:
+    the AND of x's bitsets over the alive p, masked by the alive own
+    actions, is nonzero.
+    """
+    # AND over the alive p (dead ones count as all ones) by pairwise halving:
+    # each step is one elementwise op over whole rows, where
+    # np.bitwise_and.reduce over axis 1 crawls on blocks of a few bytes.
+    acc = np.where(alive_opp[:, :, None, None], beaten, np.iinfo(beaten.dtype).max)
+    while acc.shape[1] > 1:
+        half = acc.shape[1] // 2
+        folded = acc[:, :half] & acc[:, half : 2 * half]
+        if acc.shape[1] % 2:
+            folded[:, 0] &= acc[:, -1]
+        acc = folded
+    live = alive_own @ _one_hot_words(ranks.shape[-1])  # (B, W)
+    return (acc[:, 0] & live[:, None, :]).any(axis=-1) & alive_own
+
+
+def _profiles_alive(alive: list[np.ndarray], player: int) -> np.ndarray:
+    """(B, P) mask of the opponent profiles of ``player`` whose actions are
+    all alive, profiles in lexicographic order (first player most
+    significant)."""
+    out = np.ones((alive[0].shape[0], 1), dtype=bool)
+    for j, mask in enumerate(alive):
+        if j != player:
+            out = (out[:, :, None] & mask[:, None, :]).reshape(out.shape[0], -1)
+    return out
+
+
+def _eliminate(
+    stacks: list[np.ndarray],
+) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Simultaneous-deletion elimination over a batch of N-player games.
+
+    ``stacks[k]`` (B, P_k, m_k) ranks player k's actions against each
+    opponent profile. The bitsets are built once; each round only the
+    unfinished games (``idx``) are decided. Returns the surviving masks,
+    the first-round undominated counts and the per-game round counts.
+    """
+    batch = stacks[0].shape[0]
+    beaten = [outrank_bits(s) for s in stacks]
+    alive = [np.ones((batch, s.shape[2]), dtype=bool) for s in stacks]
+    rounds = np.zeros(batch, dtype=np.int64)
+    undominated = None
+    idx = np.arange(batch)
+    while idx.size:
+        live = [a[idx] for a in alive]
+        doms = [
+            _dominated(s[idx], live[k], _profiles_alive(live, k), b[idx])
+            for k, (s, b) in enumerate(zip(stacks, beaten))
+        ]
+        if undominated is None:
+            undominated = [d.shape[1] - d.sum(axis=1) for d in doms]
+        progressed = np.logical_or.reduce([d.any(axis=1) for d in doms])
+        rounds[idx] += progressed
+        for a, now, dom in zip(alive, live, doms):
+            a[idx] = now & ~dom
+        idx = idx[progressed]
+    return alive, undominated, rounds
 
 
 def eliminate_batch(row_ranks: np.ndarray, col_ranks: np.ndarray) -> dict[str, np.ndarray]:
@@ -103,25 +247,9 @@ def eliminate_batch(row_ranks: np.ndarray, col_ranks: np.ndarray) -> dict[str, n
     Returns undominated counts (first round), surviving counts, iteration
     counts, solvability flags, and pure-Nash cell counts.
     """
-    batch, m, n = row_ranks.shape
-    alive_r = np.ones((batch, m), dtype=bool)
-    alive_c = np.ones((batch, n), dtype=bool)
+    _, m, n = row_ranks.shape
     by_col = np.ascontiguousarray(row_ranks.transpose(0, 2, 1))
-    rounds = np.zeros(batch, dtype=np.int64)
-    nash = ((row_ranks == m) & (col_ranks == n)).sum(axis=(1, 2))
-    u_r = u_c = None
-    idx = np.arange(batch)
-    while idx.size:
-        dom_r = _dominated(by_col[idx], alive_r[idx], alive_c[idx])
-        dom_c = _dominated(col_ranks[idx], alive_c[idx], alive_r[idx])
-        if u_r is None:
-            u_r = m - dom_r.sum(axis=1)
-            u_c = n - dom_c.sum(axis=1)
-        progressed = dom_r.any(axis=1) | dom_c.any(axis=1)
-        rounds[idx] += progressed
-        alive_r[idx] &= ~dom_r
-        alive_c[idx] &= ~dom_c
-        idx = idx[progressed]
+    (alive_r, alive_c), (u_r, u_c), rounds = _eliminate([by_col, col_ranks])
     s_r = alive_r.sum(axis=1)
     s_c = alive_c.sum(axis=1)
     return {
@@ -131,7 +259,7 @@ def eliminate_batch(row_ranks: np.ndarray, col_ranks: np.ndarray) -> dict[str, n
         "s_c": s_c,
         "iterations": rounds,
         "solvable": (s_r == 1) & (s_c == 1),
-        "pure_nash": nash,
+        "pure_nash": ((row_ranks == m) & (col_ranks == n)).sum(axis=(1, 2)),
     }
 
 
@@ -245,46 +373,13 @@ def eliminate_tensor_batch(
     ranks: list[np.ndarray], dims: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
     """Simultaneous-deletion elimination for batches of N-player games."""
-    players = len(dims)
-    batch = ranks[0].shape[0]
-    alive = [np.ones((batch, d), dtype=bool) for d in dims]
-    by_profile = [np.ascontiguousarray(r.transpose(0, 2, 1)) for r in ranks]
-
-    def profile_alive(player: int) -> np.ndarray:
-        out = np.ones((batch, 1), dtype=bool)
-        for j in range(players):
-            if j == player:
-                continue
-            out = (out[:, :, None] & alive[j][:, None, :]).reshape(batch, -1)
-        return out
-
-    rounds = np.zeros(batch, dtype=np.int64)
-    first_round_undominated = []
-    progressing = np.ones(batch, dtype=bool)
-    first = True
-    while progressing.any():
-        doms = []
-        for k in range(players):
-            dom = _dominated(by_profile[k], alive[k], profile_alive(k))
-            dom &= progressing[:, None]
-            doms.append(dom)
-            if first:
-                first_round_undominated.append(dims[k] - dom.sum(axis=1))
-        first = False
-        progressed = np.zeros(batch, dtype=bool)
-        for k in range(players):
-            progressed |= doms[k].any(axis=1)
-        rounds += progressed
-        for k in range(players):
-            alive[k] &= ~doms[k]
-        progressing = progressed
+    alive, undominated, rounds = _eliminate(
+        [np.ascontiguousarray(r.transpose(0, 2, 1)) for r in ranks]
+    )
     counts = [a.sum(axis=1) for a in alive]
-    solvable = np.ones(batch, dtype=bool)
-    for c in counts:
-        solvable &= c == 1
     return {
         "survivors": counts,
-        "undominated": first_round_undominated,
+        "undominated": undominated,
         "iterations": rounds,
-        "solvable": solvable,
+        "solvable": np.logical_and.reduce([c == 1 for c in counts]),
     }

@@ -66,35 +66,73 @@ def _fmt(value) -> str:
 
 
 def _decimal(value) -> str:
-    return repr(float(value))
+    """The float repr of an exact value where that float is zero or normal;
+    otherwise (it would overflow, or lose digits below the normal range) 17
+    significant digits in scientific form, from exact integer arithmetic."""
+    value = Fraction(value)
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = math.inf
+    if value == 0 or sys.float_info.min <= abs(approx) < math.inf:
+        return repr(approx)
+    digits = 17
+    magnitude = abs(value)
+    # log10(2) = 0.30103: a first guess, settled by exact comparisons
+    bits = magnitude.numerator.bit_length() - magnitude.denominator.bit_length()
+    exponent = bits * 30103 // 100000
+    while magnitude >= Fraction(10) ** (exponent + 1):
+        exponent += 1
+    while magnitude < Fraction(10) ** exponent:
+        exponent -= 1
+    mantissa = round(magnitude / Fraction(10) ** (exponent - digits + 1))
+    if mantissa == 10**digits:  # rounding carried into one more digit
+        mantissa //= 10
+        exponent += 1
+    text = str(mantissa)
+    sign = "-" if value < 0 else ""
+    return f"{sign}{text[0]}.{text[1:]}e{exponent:+03d}"
 
 
 def _emit(rows: list[dict], args) -> None:
-    """Write rows as CSV (default) or JSON to stdout or --out."""
+    """Write rows as CSV (default) or JSON to stdout or --out.
+
+    Exact values can have more digits than Python's integer-to-string limit
+    (4300 by default), which guards parsing untrusted input; it is lifted
+    while these rows are rendered and restored afterwards.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = _render(rows, args)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     out_path = getattr(args, "out", None)
     if out_path:
         base_dir = os.environ.get("DOMSOLVE_OUTPUT_DIR")
         if base_dir and not os.path.isabs(out_path) and os.sep not in out_path:
             out_path = os.path.join(base_dir, out_path)
-    fmt = getattr(args, "format", "csv") or "csv"
-    if fmt == "json":
-        text = json.dumps(rows, indent=2, default=_fmt) + "\n"
-    else:
-        buffer = io.StringIO()
-        if rows:
-            fields: list[str] = []
-            for row in rows:
-                fields.extend(k for k in row if k not in fields)
-            writer = csv.DictWriter(buffer, fieldnames=fields, restval="")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmt(v) for k, v in row.items()})
-        text = buffer.getvalue()
-    if out_path:
         with open(out_path, "w") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _render(rows: list[dict], args) -> str:
+    if (getattr(args, "format", "csv") or "csv") == "json":
+        return json.dumps(rows, indent=2, default=_fmt) + "\n"
+    buffer = io.StringIO()
+    if rows:
+        fields: list[str] = []
+        for row in rows:
+            fields.extend(k for k in row if k not in fields)
+        writer = csv.DictWriter(buffer, fieldnames=fields, restval="")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: _fmt(v) for k, v in row.items()})
+    return buffer.getvalue()
 
 
 def _seed_from_args(args) -> Seed:

@@ -57,6 +57,13 @@ METRICS = (
 _MIXED_METRICS = (MIXED_PI, MIXED_COND_ITERATIONS, RATIONALIZABLE_MEAN)
 _HISTOGRAM_METRICS = (SURVIVOR_DIST, UNDOMINATED_DIST, PURE_NASH_DIST)
 
+# An experiment whose batch would need more than this (estimated before
+# anything is allocated) raises CapacityError; about one batch per thread is
+# in flight at a time.
+BATCH_BYTES_LIMIT = 1 << 30
+# Ranks are stored as int16.
+MAX_ACTIONS = 32767
+
 
 class NoConditioningEventsError(RuntimeError):
     """A conditional metric saw zero conditioning events."""
@@ -281,7 +288,31 @@ def _merge(tallies: Iterable[dict]) -> dict:
     return total
 
 
+def _mixed_game_bytes(m: int, n: int) -> int:
+    """Upper estimate of the bytes one game adds to a mixed batch: its
+    payoffs as Python floats (64 bytes a cell) and, per player and own
+    action, one float64 simplex tableau with two gap-game copies."""
+    return 64 * m * n + sum(24 * k * (k + 1) * (k + o + 1) for k, o in ((m, n), (n, m)))
+
+
+def _check_capacity(spec: ExperimentSpec) -> None:
+    src = spec.source
+    dims = src.dims if src.is_nplayer else (src.m, src.n)
+    if max(dims) > MAX_ACTIONS:
+        raise exact.CapacityError(f"at most {MAX_ACTIONS} actions per player (ranks are int16)")
+    batch = spec.effective_batch_size()
+    need = kernels.batch_bytes(batch, dims)
+    if spec.metric in _MIXED_METRICS:
+        need += batch * _mixed_game_bytes(src.m, src.n)
+    if need > BATCH_BYTES_LIMIT:
+        raise exact.CapacityError(
+            f"a batch of {batch} games needs about {need / 2**30:.3g} GiB, "
+            f"above the {BATCH_BYTES_LIMIT / 2**30:g} GiB limit"
+        )
+
+
 def _run_batches(spec: ExperimentSpec, threads: int) -> dict:
+    _check_capacity(spec)
     sizes = _batch_sizes(spec.samples, spec.effective_batch_size())
     worker = _mixed_batch_tallies if spec.metric in _MIXED_METRICS else _pure_batch_tallies
     if threads <= 1:
@@ -386,6 +417,9 @@ class CltReport:
 
 # Samples per random stream of clt_check; part of its stream layout.
 CLT_CHUNK = 1 << 16
+# Largest n of clt_check: records_law loops over i = 1..n in Python (about
+# 0.4 s at this n, 5 s at 10^6).
+CLT_MAX_N = 10**5
 
 
 def _ks_normal(z: np.ndarray) -> float:
@@ -414,10 +448,12 @@ def clt_check(n: int, samples: int, seed: Seed) -> CltReport:
     ``kurtosis`` is the raw fourth standardized moment (normal = 3). The
     counts are drawn from their exact law (:func:`_simkernels.records_law`,
     built once per call), ``CLT_CHUNK`` samples per random stream, so a
-    sample costs O(log n); n >= 100 required.
+    sample costs O(log n); 100 <= n <= ``CLT_MAX_N`` required.
     """
     if n < 100:
         raise ValueError("clt_check requires n >= 100")
+    if n > CLT_MAX_N:
+        raise exact.CapacityError(f"clt_check supports n <= {CLT_MAX_N}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     law = kernels.records_law(n)

@@ -368,6 +368,7 @@ def rationalizable_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict:
     """
     batch, m, n = u_row.shape
     views = (u_row, u_col.transpose(0, 2, 1))  # (B, own actions, opponent actions)
+    beaten = [kernels.outrank_bits(v.transpose(0, 2, 1)) for v in views]  # once per batch
     alive = [np.ones((batch, m), dtype=bool), np.ones((batch, n), dtype=bool)]
     rounds = np.zeros(batch, dtype=np.int64)
     checks = fallbacks = 0
@@ -376,7 +377,10 @@ def rationalizable_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict:
         removed = []
         for player in (ROW, COL):
             gone, fallback = _round_removals(
-                views[player][idx], alive[player][idx], alive[1 - player][idx]
+                views[player][idx],
+                alive[player][idx],
+                alive[1 - player][idx],
+                beaten[player][idx],
             )
             removed.append(gone)
             checks += fallback.size
@@ -395,15 +399,16 @@ def rationalizable_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict:
 
 
 def _round_removals(
-    payoffs: np.ndarray, own: np.ndarray, opp: np.ndarray
+    payoffs: np.ndarray, own: np.ndarray, opp: np.ndarray, beaten: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mixed-dominated actions among ``own`` (B, K) against ``opp`` (B, Q)
     for payoff stacks (B, K, Q), and the fallback flags of the checks that
-    needed a solver."""
+    needed a solver. ``beaten`` holds the payoffs' outrank bitsets (ties do
+    not outrank), which decide pure dominance."""
     actions = np.arange(payoffs.shape[1])
     best = np.where(own[:, :, None], payoffs, -np.inf).argmax(axis=1)
     safe = ((best[:, None, :] == actions[None, :, None]) & opp[:, None, :]).any(axis=2)
-    gone = kernels._dominated(payoffs.transpose(0, 2, 1), own, opp)
+    gone = kernels._dominated(payoffs.transpose(0, 2, 1), own, opp, beaten)
     games, targets = np.nonzero(own & ~safe & ~gone)
     fallback = np.zeros(games.size, dtype=bool)
     if not games.size:

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import math
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 
-from domsolve.cli import main
+from domsolve import montecarlo
+from domsolve.cli import _decimal, main
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +40,40 @@ def test_exact_stirling(capsys):
     code, out, _ = run_cli(capsys, "exact", "stirling", "--n", "4")
     rows = parse_csv(out)
     assert [r["value"] for r in rows] == ["6", "11", "6", "1"]
+
+
+def test_exact_stirling_beyond_float_range(capsys):
+    code, out, _ = run_cli(capsys, "exact", "stirling", "--n", "1000")
+    rows = parse_csv(out)
+    assert code == 0 and [int(r["k"]) for r in rows] == list(range(1, 1001))
+    assert int(rows[0]["value"]) == math.factorial(999)
+    assert rows[0]["decimal"] == "4.0238726007709377e+2564"
+    assert rows[-1]["decimal"] == "1.0"
+
+
+def test_decimal_renders_exact_values():
+    assert _decimal(Fraction(3, 4)) == "0.75"
+    assert _decimal(0) == "0.0"
+    assert _decimal(10**400 - 1) == "1.0000000000000000e+400"  # the rounding carries
+    assert _decimal(-(10**400) * 7 // 3) == "-2.3333333333333333e+400"
+    assert _decimal(Fraction(1, 10**400)) == "1.0000000000000000e-400"
+    assert _decimal(Fraction(5, 10**310)) == "5.0000000000000000e-310"  # a subnormal float
+    assert _decimal(Fraction(2, 3) * 10**308) == repr(2 / 3 * 1e308)  # a normal float
+    assert _decimal(Fraction(2, 3) * 10**309) == "6.6666666666666667e+308"
+
+
+def test_exact_fractions_beyond_the_int_string_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, _ = run_cli(capsys, "exact", "survivors-dist", "--n", "400")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    rows = parse_csv(out)
+    assert code == 0 and len(rows) == 400
+    assert max(len(r["value"]) for r in rows) > 640
+    assert sum(Fraction(r["value"]) for r in rows) == 1
 
 
 def test_enumerate_uc3xn(capsys):
@@ -208,6 +246,30 @@ def test_diagnose_bounds(capsys):
     rows = parse_csv(out)
     assert code == 0
     assert [r["pi_ok"] for r in rows] == ["True", "True"]
+
+
+def test_capacity_guards_exit_before_allocating(capsys, monkeypatch):
+    # Each is refused by an estimate or a bound checked before any draw; the
+    # stubs keep a missing guard from allocating.
+    def never(*args):
+        raise AssertionError("work started past the guard")
+
+    monkeypatch.setattr(montecarlo, "_pure_batch_tallies", never)
+    monkeypatch.setattr(montecarlo.kernels, "records_law", never)
+    for n in ("100000", "30000"):
+        code, _, err = run_cli(
+            capsys, "simulate", "--metric", "pi", "--m", "2", "--n", n, "--samples", "10"
+        )
+        assert code == 3
+    assert "GiB" in err
+    code, _, err = run_cli(
+        capsys,
+        "simulate", "--metric", "pi", "--m", "1", "--n", "40000", "--samples", "1",
+        "--batch-size", "1",
+    )
+    assert code == 3 and "int16" in err
+    code, _, err = run_cli(capsys, "diagnose", "clt", "--n", "1000000", "--samples", "10")
+    assert code == 3 and "clt_check" in err
 
 
 def test_config_precedence(capsys, tmp_path):

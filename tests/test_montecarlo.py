@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domsolve import _simkernels as kernels, exact
+from domsolve import _simkernels as kernels, exact, montecarlo
 from domsolve.games import COL, GameClass, Seed
 from domsolve.montecarlo import (
+    CLT_MAX_N,
     COND_ITERATIONS,
+    MAX_ACTIONS,
     MIXED_COND_ITERATIONS,
     MIXED_PI,
     PI,
@@ -347,6 +349,38 @@ def test_clt_check_small():
         clt_check(50, 1000, SEED)
     with pytest.raises(ValueError):
         clt_check(200, 0, SEED)
+
+
+def test_clt_check_caps_n_before_building_the_law(monkeypatch):
+    def never(n):
+        raise AssertionError("records_law was built")
+
+    monkeypatch.setattr(kernels, "records_law", never)
+    with pytest.raises(exact.CapacityError):
+        clt_check(CLT_MAX_N + 1, 10, SEED)
+
+
+def test_capacity_guard_refuses_oversized_batches(monkeypatch):
+    def never(*args):
+        raise AssertionError("a batch was started")
+
+    monkeypatch.setattr(montecarlo, "_pure_batch_tallies", never)
+    monkeypatch.setattr(montecarlo, "_mixed_batch_tallies", never)
+    for spec in (
+        ExperimentSpec(PI, GameSource(m=2, n=30_000), 10, SEED),
+        ExperimentSpec(PI, GameSource(dims=(200, 200, 200)), 10, SEED),
+        ExperimentSpec(MIXED_PI, GameSource(m=60, n=60), 10, SEED),
+        ExperimentSpec(PI, GameSource(m=1, n=MAX_ACTIONS + 1), 1, SEED, batch_size=1),
+    ):
+        with pytest.raises(exact.CapacityError):
+            run(spec)
+    # wide pure games and the mixed shapes in use stay inside the limit
+    for spec in (
+        ExperimentSpec(PI, GameSource(m=5, n=200), 10, SEED),
+        ExperimentSpec(PI, GameSource(m=2, n=5000), 10, SEED),
+        ExperimentSpec(MIXED_PI, GameSource(m=6, n=6), 10, SEED),
+    ):
+        montecarlo._check_capacity(spec)
 
 
 def test_bound_checks_small_grid():

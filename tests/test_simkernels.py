@@ -1,0 +1,159 @@
+"""The bitset dominance kernel against brute force and the scalar engine."""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from domsolve import _simkernels as kernels
+from domsolve.elimination import count_pure_nash, iterate_nplayer, metrics, undominated_nplayer
+from domsolve.games import GameClass, OrdinalBimatrix, OrdinalTensorGame, Seed
+from domsolve.montecarlo import PI, ExperimentSpec, GameSource
+
+
+def brute_dominated(values, alive_own, alive_opp):
+    """x is dominated iff some alive y > x strictly at every alive p."""
+    batch, profiles, k = values.shape
+    out = np.zeros((batch, k), dtype=bool)
+    for b, x in itertools.product(range(batch), range(k)):
+        live = [p for p in range(profiles) if alive_opp[b, p]]
+        out[b, x] = alive_own[b, x] and any(
+            alive_own[b, y] and all(values[b, p, y] > values[b, p, x] for p in live)
+            for y in range(k)
+            if y != x
+        )
+    return out
+
+
+def random_masks(rng, batch, profiles, k):
+    alive_own = rng.random((batch, k)) < 0.7
+    alive_opp = rng.random((batch, profiles)) < 0.6
+    alive_opp[np.arange(batch), rng.integers(profiles, size=batch)] = True
+    return alive_own, alive_opp
+
+
+def test_dominated_matches_brute_force_with_ties():
+    rng = np.random.default_rng(81)
+    for _ in range(60):
+        batch, profiles, k = (int(v) for v in rng.integers(1, (9, 6, 12)))
+        values = rng.integers(0, int(rng.integers(1, 5)), (batch, profiles, k))
+        alive_own, alive_opp = random_masks(rng, batch, profiles, k)
+        want = brute_dominated(values, alive_own, alive_opp)
+        for stack in (values, values.astype(np.int16), values.astype(float)):
+            beaten = kernels.outrank_bits(stack)
+            assert np.array_equal(kernels._dominated(stack, alive_own, alive_opp, beaten), want)
+
+
+WORDS = {
+    1: (np.uint8, 1),
+    8: (np.uint8, 1),
+    9: (np.uint16, 1),
+    16: (np.uint16, 1),
+    17: (np.uint32, 1),
+    63: (np.uint64, 1),
+    64: (np.uint64, 1),
+    65: (np.uint64, 2),
+    130: (np.uint64, 3),
+}
+
+
+@pytest.mark.parametrize("k", sorted(WORDS))
+def test_word_boundaries(k):
+    rng = np.random.default_rng(k)
+    batch, profiles = 5, 4
+    values = rng.integers(0, 3, (batch, profiles, k))  # ties
+    values[0] = rng.permutation(k) + 1  # and one game of ranks
+    alive_own, alive_opp = random_masks(rng, batch, profiles, k)
+    alive_own[1] = True
+    alive_opp[1] = True
+
+    beaten = kernels.outrank_bits(values)
+    dtype, words = WORDS[k]
+    assert beaten.dtype == dtype and beaten.shape == (batch, profiles, k, words)
+    bits = 8 * np.dtype(dtype).itemsize
+    y = np.arange(k)
+    members = (beaten[..., y // bits] >> (y % bits).astype(dtype)) & 1  # (B, P, x, y)
+    assert np.array_equal(members.astype(bool), values[:, :, None, :] > values[:, :, :, None])
+
+    want = brute_dominated(values, alive_own, alive_opp)
+    assert np.array_equal(kernels._dominated(values, alive_own, alive_opp, beaten), want)
+
+
+def _bimatrix_matches(rr, cc):
+    out = kernels.eliminate_batch(rr, cc)
+    for g in range(rr.shape[0]):
+        game = OrdinalBimatrix(rr[g].tolist(), cc[g].tolist())
+        want = metrics(game)
+        got = {key: int(out[key][g]) for key in ("u_r", "u_c", "s_r", "s_c", "iterations")}
+        assert got == {key: getattr(want, key) for key in got}
+        assert bool(out["solvable"][g]) == want.solvable
+        assert out["pure_nash"][g] == count_pure_nash(game)
+
+
+def _tensor_matches(ranks, dims):
+    out = kernels.eliminate_tensor_batch(ranks, dims)
+    for g in range(ranks[0].shape[0]):
+        game = OrdinalTensorGame(dims, [r[g].T.tolist() for r in ranks])
+        trace = iterate_nplayer(game)
+        assert bool(out["solvable"][g]) == trace.solvable
+        assert out["iterations"][g] == trace.iterations
+        for player in range(len(dims)):
+            assert out["survivors"][player][g] == len(trace.surviving[player])
+            assert out["undominated"][player][g] == len(undominated_nplayer(game, player))
+
+
+SIDES = st.one_of(st.integers(1, 4), st.integers(60, 70))
+
+
+@given(SIDES, SIDES, st.sampled_from(list(GameClass)), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_batch_matches_scalar_engine_property(m, n, game_class, seed):
+    if game_class.requires_square:
+        n = m = min(m, 8)
+    rr, cc = kernels.sample_rank_batch(np.random.default_rng(seed), 6, m, n, game_class)
+    _bimatrix_matches(rr, cc)
+
+
+@given(
+    st.lists(st.integers(1, 3), min_size=2, max_size=4).filter(lambda d: np.prod(d) <= 36),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_tensor_batch_matches_scalar_engine_property(dims, seed):
+    dims = tuple(dims)
+    ranks = kernels.sample_tensor_rank_batch(np.random.default_rng(seed), 6, dims)
+    _tensor_matches(ranks, dims)
+
+
+@pytest.mark.parametrize("dims", [(1, 66), (66, 1), (2, 65, 1), (1, 3, 2)])
+def test_tensor_batch_matches_scalar_engine_wide(dims):
+    ranks = kernels.sample_tensor_rank_batch(np.random.default_rng(sum(dims)), 5, dims)
+    _tensor_matches(ranks, dims)
+
+
+@pytest.mark.parametrize(
+    "m, n, game_class",
+    [
+        (7, 7, GameClass.BASELINE),
+        (2, 20, GameClass.BASELINE),
+        (8, 8, GameClass.STRAT_COMPLEMENTS),
+        (3, 70, GameClass.BASELINE),
+        (2, 400, GameClass.BASELINE),
+    ],
+)
+def test_batch_bytes_bounds_the_measured_peak(m, n, game_class):
+    # The estimate must cover what sampling and eliminating one default-size
+    # batch allocate, without being loose by more than a small factor.
+    spec = ExperimentSpec(PI, GameSource(m=m, n=n, game_class=game_class), 1, Seed(0))
+    batch = spec.effective_batch_size()
+    tracemalloc.start()
+    try:
+        rr, cc = kernels.sample_rank_batch(np.random.default_rng(5), batch, m, n, game_class)
+        kernels.eliminate_batch(rr, cc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimate = kernels.batch_bytes(batch, (m, n))
+    assert peak <= estimate <= 4 * peak, (peak, estimate)
