@@ -1,26 +1,30 @@
 """Vectorized batch kernels backing the Monte Carlo harness.
 
-Each kernel processes a whole batch of games as numpy arrays. Rank tensors
-are laid out as (batch, m, n) with the same conventions as the scalar game
-objects; the batched eliminator mirrors the simultaneous-deletion semantics
-of :mod:`domsolve.elimination` exactly (the test suite cross-checks the two
+Each kernel processes a whole batch of games as numpy arrays, laid out as
+(batch, m, n) with the same conventions as the scalar game objects. Kernels
+read only the order of each player's values along the player's own axis, so
+they take the float draws of :func:`sample_payoff_batch` or their ranks
+alike. The batched eliminator mirrors the simultaneous-deletion semantics of
+:mod:`domsolve.elimination` exactly (the test suite cross-checks the two
 game by game). The 2 x n CLT sampler draws no game at all: it samples the
 surviving column count from its exact law (:func:`records_law`), which
 :func:`survivors_2xn_from` derives from the order statistics of a game.
 
 Pure dominance is decided on bitsets. :func:`outrank_bits` turns a player's
-(batch, profiles, K) rank stack into the set of own actions ranked strictly
-above each action at each profile, once per batch, from a sort and a prefix
-OR (no K x K comparison). The sets are packed into the smallest unsigned
-word holding K bits, or into ceil(K / 64) uint64 words. A round of
-:func:`_dominated` is then an AND over the alive profiles, an AND with the
-alive own actions, and a nonzero test; bimatrix and N-player batches share
-one round loop (:func:`_eliminate`), and :func:`batch_bytes` estimates a
-batch's peak memory for the capacity guard of :mod:`domsolve.montecarlo`.
+(batch, profiles, K) stack into the set of own actions ranked strictly above
+each action at each profile, once per batch: by K comparisons when the set
+fits a 16-bit word, and otherwise from one sort and a prefix OR. The sets
+are packed into the smallest unsigned word holding K bits, or into
+ceil(K / 64) uint64 words. A round of :func:`_dominated` is then an AND over
+the alive profiles, an AND with the alive own actions, and a nonzero test;
+bimatrix and N-player batches share one round loop (:func:`_eliminate`), and
+:func:`batch_bytes` estimates a batch's peak memory for the capacity guard
+of :mod:`domsolve.montecarlo`.
 
-Float payoff draws can tie with probability ~2**-53 per pair; ranking by
-argsort breaks such a tie deterministically. At the batch sizes used here
-the event is negligible and intentionally not resampled.
+Float payoff draws can tie with probability ~2**-53 per pair. A tie fed to
+the kernels stays a tie: neither action outranks the other (ranking the draw
+would instead break it by index). At the batch sizes used here the event is
+negligible and intentionally not resampled.
 """
 
 from __future__ import annotations
@@ -30,11 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import GameClass
-
-
-def _rank(u: np.ndarray, axis: int) -> np.ndarray:
-    return u.argsort(axis=axis).argsort(axis=axis).astype(np.int16) + 1
+from .games import GameClass, rank_along
 
 
 def _nondecreasing_maps(rng: np.random.Generator, batch: int, m: int, n: int) -> np.ndarray:
@@ -46,56 +46,45 @@ def _nondecreasing_maps(rng: np.random.Generator, batch: int, m: int, n: int) ->
     return chosen - np.arange(n)
 
 
-def _forced_argmax_ranks(
-    rng: np.random.Generator, batch: int, m: int, n: int, best: np.ndarray, axis: int
-) -> np.ndarray:
-    """Ranks of an i.i.d. (batch, m, n) draw conditioned on its argmax pattern
-    along ``axis`` being ``best`` (realized by forcing the maximum there)."""
-    z = rng.random((batch, m, n))
-    if axis == 1:
-        np.put_along_axis(z, best[:, None, :], 2.0, axis=1)
-    else:
-        np.put_along_axis(z, best[:, :, None], 2.0, axis=2)
-    return _rank(z, axis)
+def sample_payoff_batch(
+    rng: np.random.Generator, batch: int, m: int, n: int, game_class: GameClass
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row's and Column's (batch, m, n) float payoffs for a batch of games of
+    the given class.
+
+    Ordinal dominance statistics do not depend on the payoff distribution
+    (any continuous i.i.d. draw induces the same uniform rank law), so the
+    draws are uniform; a forced best response is a payoff of 2.0.
+    """
+    if game_class is GameClass.BASELINE:
+        return rng.random((batch, m, n)), rng.random((batch, m, n))
+    if game_class in (GameClass.SYMMETRIC, GameClass.POTENTIAL, GameClass.CONSTANT_SUM):
+        u = rng.random((batch, m, n))
+        if game_class is GameClass.SYMMETRIC:
+            return u, u.transpose(0, 2, 1)
+        if game_class is GameClass.POTENTIAL:
+            return u, u
+        return u, -u  # an exact negation: no ties that u does not have
+    if game_class in (GameClass.STRAT_COMPLEMENTS, GameClass.STRAT_COMPLEMENTS_SYM):
+        b = _nondecreasing_maps(rng, batch, m, n)
+        u_row = rng.random((batch, m, n))
+        np.put_along_axis(u_row, b[:, None, :], 2.0, axis=1)
+        if game_class is GameClass.STRAT_COMPLEMENTS_SYM:
+            return u_row, u_row.transpose(0, 2, 1)
+        d = _nondecreasing_maps(rng, batch, n, m)
+        u_col = rng.random((batch, m, n))
+        np.put_along_axis(u_col, d[:, :, None], 2.0, axis=2)
+        return u_row, u_col
+    raise ValueError(f"unsupported game class {game_class}")
 
 
 def sample_rank_batch(
     rng: np.random.Generator, batch: int, m: int, n: int, game_class: GameClass
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column rank tensors for a batch of games of the given class.
-
-    Ordinal dominance statistics do not depend on the payoff distribution
-    (any continuous i.i.d. draw induces the same uniform rank law), so the
-    kernels construct ranks directly.
-    """
-    if game_class is GameClass.BASELINE:
-        row_ranks = _rank(rng.random((batch, m, n)), 1)
-        col_ranks = _rank(rng.random((batch, m, n)), 2)
-        return row_ranks, col_ranks
-    if game_class in (GameClass.SYMMETRIC, GameClass.POTENTIAL, GameClass.CONSTANT_SUM):
-        u = rng.random((batch, m, n))
-        row_ranks = _rank(u, 1)
-        if game_class is GameClass.SYMMETRIC:
-            col_ranks = row_ranks.transpose(0, 2, 1).copy()
-        elif game_class is GameClass.POTENTIAL:
-            col_ranks = _rank(u, 2)
-        else:
-            col_ranks = n + 1 - _rank(u, 2)
-        return row_ranks, col_ranks.astype(np.int16)
-    if game_class is GameClass.STRAT_COMPLEMENTS:
-        b = _nondecreasing_maps(rng, batch, m, n)
-        row_ranks = _forced_argmax_ranks(rng, batch, m, n, b, axis=1)
-        d = _nondecreasing_maps(rng, batch, n, m)
-        col_ranks = _forced_argmax_ranks(rng, batch, m, n, d, axis=2)
-        return row_ranks, col_ranks
-    if game_class is GameClass.STRAT_COMPLEMENTS_SYM:
-        b = _nondecreasing_maps(rng, batch, m, n)
-        z = rng.random((batch, m, n))
-        np.put_along_axis(z, b[:, None, :], 2.0, axis=1)
-        row_ranks = _rank(z, 1)
-        col_ranks = row_ranks.transpose(0, 2, 1).copy()
-        return row_ranks, col_ranks
-    raise ValueError(f"unsupported game class {game_class}")
+    """Row and column rank tensors of the games :func:`sample_payoff_batch`
+    draws from the same ``rng``."""
+    u_row, u_col = sample_payoff_batch(rng, batch, m, n, game_class)
+    return rank_along(u_row, 1), rank_along(u_col, 2)
 
 
 def _word_layout(k: int) -> tuple[np.dtype, int]:
@@ -122,11 +111,12 @@ def batch_bytes(batch: int, dims: Sequence[int]) -> int:
     """Upper estimate of the peak bytes of sampling and eliminating one batch
     of games whose players have ``dims`` actions.
 
-    Every player's rank stack has batch * prod(dims) cells. Per cell and
-    player that is 32 bytes for the float draw with its two argsorts, or for
-    the sort keys and indices of :func:`outrank_bits` (the larger of the
-    two), plus four copies of the player's bitset words: stored, gathered
-    for the unfinished games, masked, and halved.
+    Every player's payoff stack has batch * prod(dims) cells. Per cell and
+    player that is 32 bytes for the float draw, which lives through
+    elimination, with the contiguous copy and the comparison temporaries or
+    sort indices of :func:`outrank_bits` (tracemalloc peaks of the batch
+    worker stay 1.3-3.5x below it), plus four copies of the player's bitset
+    words: stored, gathered for the unfinished games, masked, and halved.
     """
     cells = batch * math.prod(dims)
     total = 0
@@ -136,18 +126,32 @@ def batch_bytes(batch: int, dims: Sequence[int]) -> int:
     return total
 
 
+# Largest K whose bitsets outrank_bits builds by comparison: K steps over the
+# stack beat one sort up to here (K = 7: 5.6 vs 16.1 ms, K = 16: 9.7 vs
+# 10.6 ms at a fixed B * P * K), and lose beyond (K = 32: 58.6 vs 35.3 ms).
+COMPARE_MAX_K = 16
+
+
 def outrank_bits(values: np.ndarray) -> np.ndarray:
     """Bitsets (B, P, K, W) of a (B, P, K) rank or payoff stack: bit y of
     entry [b, p, x] is set iff values[b, p, y] > values[b, p, x], so ties do
     not outrank.
 
-    Sorted in descending order, the actions above x are the ones before its
-    tie run, so one prefix OR of one-hot words yields every set in
-    O(B P K W).
+    Two builds, chosen by K. Up to ``COMPARE_MAX_K`` actions the set fits one
+    uint8 or uint16 word and is built by comparison, one vectorised step per
+    y. Above it, sorted in descending order, the actions above x are the
+    ones before its tie run, so one prefix OR of one-hot words yields every
+    set in O(B P K W) after one sort.
     """
     *lead, k = values.shape
-    one_hot = _one_hot_words(k)
     rows = values.reshape(-1, k)
+    if k <= COMPARE_MAX_K:
+        dtype = _word_layout(k)[0]
+        out = np.zeros(rows.shape, dtype=dtype)
+        for y in range(k):
+            out |= (rows[:, y : y + 1] > rows).astype(dtype) << dtype.type(y)
+        return out.reshape(*lead, k, 1)
+    one_hot = _one_hot_words(k)
     n = rows.shape[0]
     # numpy's vectorised argsort covers 32- and 64-bit keys only
     keys = rows.astype(np.promote_types(rows.dtype, np.int32), copy=False)
@@ -177,8 +181,9 @@ def _dominated(
     ranks: np.ndarray, alive_own: np.ndarray, alive_opp: np.ndarray, beaten: np.ndarray
 ) -> np.ndarray:
     """ranks: (B, P, K) rank (or payoff) of own action k against opponent
-    profile p; ``beaten`` is its :func:`outrank_bits`, built once per batch
-    by the caller.
+    profile p, or any array of that shape (only its shape is read, here and
+    by the benchmark's trace wrapper); ``beaten`` is its
+    :func:`outrank_bits`, built once per batch by the caller.
 
     Own action x is dominated iff some alive y beats it at every alive p:
     the AND of x's bitsets over the alive p, masked by the alive own
@@ -214,10 +219,11 @@ def _eliminate(
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
     """Simultaneous-deletion elimination over a batch of N-player games.
 
-    ``stacks[k]`` (B, P_k, m_k) ranks player k's actions against each
-    opponent profile. The bitsets are built once; each round only the
-    unfinished games (``idx``) are decided. Returns the surviving masks,
-    the first-round undominated counts and the per-game round counts.
+    ``stacks[k]`` (B, P_k, m_k) orders player k's actions against each
+    opponent profile (payoffs or ranks; any strides). The bitsets are built
+    once; each round only the unfinished games (``idx``) are decided.
+    Returns the surviving masks, the first-round undominated counts and the
+    per-game round counts.
     """
     batch = stacks[0].shape[0]
     beaten = [outrank_bits(s) for s in stacks]
@@ -227,9 +233,12 @@ def _eliminate(
     idx = np.arange(batch)
     while idx.size:
         live = [a[idx] for a in alive]
+        # A word plane of the gathered bitsets stands in for the stack, so
+        # no float stack is gathered per round.
+        bits = [b[idx] for b in beaten]
         doms = [
-            _dominated(s[idx], live[k], _profiles_alive(live, k), b[idx])
-            for k, (s, b) in enumerate(zip(stacks, beaten))
+            _dominated(w[..., 0], live[k], _profiles_alive(live, k), w)
+            for k, w in enumerate(bits)
         ]
         if undominated is None:
             undominated = [d.shape[1] - d.sum(axis=1) for d in doms]
@@ -241,15 +250,14 @@ def _eliminate(
     return alive, undominated, rounds
 
 
-def eliminate_batch(row_ranks: np.ndarray, col_ranks: np.ndarray) -> dict[str, np.ndarray]:
-    """Simultaneous-deletion iterated elimination over a batch.
+def eliminate_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict[str, np.ndarray]:
+    """Simultaneous-deletion iterated elimination over a batch of (B, m, n)
+    payoffs or ranks (only their order along each player's own axis counts).
 
     Returns undominated counts (first round), surviving counts, iteration
     counts, solvability flags, and pure-Nash cell counts.
     """
-    _, m, n = row_ranks.shape
-    by_col = np.ascontiguousarray(row_ranks.transpose(0, 2, 1))
-    (alive_r, alive_c), (u_r, u_c), rounds = _eliminate([by_col, col_ranks])
+    (alive_r, alive_c), (u_r, u_c), rounds = _eliminate([u_row.transpose(0, 2, 1), u_col])
     s_r = alive_r.sum(axis=1)
     s_c = alive_c.sum(axis=1)
     return {
@@ -259,29 +267,33 @@ def eliminate_batch(row_ranks: np.ndarray, col_ranks: np.ndarray) -> dict[str, n
         "s_c": s_c,
         "iterations": rounds,
         "solvable": (s_r == 1) & (s_c == 1),
-        "pure_nash": ((row_ranks == m) & (col_ranks == n)).sum(axis=(1, 2)),
+        "pure_nash": (
+            (u_row == u_row.max(axis=1, keepdims=True)) & (u_col == u_col.max(axis=2, keepdims=True))
+        ).sum(axis=(1, 2)),
     }
 
 
 def point_rationalizable_counts(
-    row_ranks: np.ndarray, col_ranks: np.ndarray
+    u_row: np.ndarray, u_col: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Surviving set sizes of iterated never-best-response deletion."""
-    batch, m, n = row_ranks.shape
+    """Surviving set sizes of iterated never-best-response deletion, from
+    (B, m, n) payoffs or ranks."""
+    batch, m, n = u_row.shape
     alive_r = np.ones((batch, m), dtype=bool)
     alive_c = np.ones((batch, n), dtype=bool)
     actions_r = np.arange(m)
     actions_c = np.arange(n)
     idx = np.arange(batch)
     while idx.size:
-        rr = row_ranks[idx]
-        cc = col_ranks[idx]
+        rr = u_row[idx]
+        cc = u_col[idx]
         ar = alive_r[idx]
         ac = alive_c[idx]
-        # Best response rows per column, among alive rows (dead rows rank 0).
-        br_r = np.where(ar[:, :, None], rr, 0).argmax(axis=1)  # (b, n)
+        # Best response rows per column, among alive rows (dead rows count
+        # as -inf, below every input).
+        br_r = np.where(ar[:, :, None], rr, -np.inf).argmax(axis=1)  # (b, n)
         keep_r = ((br_r[:, None, :] == actions_r[None, :, None]) & ac[:, None, :]).any(axis=2)
-        br_c = np.where(ac[:, None, :], cc, 0).argmax(axis=2)  # (b, m)
+        br_c = np.where(ac[:, None, :], cc, -np.inf).argmax(axis=2)  # (b, m)
         keep_c = ((br_c[:, :, None] == actions_c[None, None, :]) & ar[:, :, None]).any(axis=1)
         keep_r &= ar
         keep_c &= ac
@@ -354,28 +366,29 @@ def survivors_2xn_batch(rng: np.random.Generator, batch: int, law: np.ndarray) -
     return np.where(solvable, 1, k)
 
 
+def sample_tensor_payoff_batch(
+    rng: np.random.Generator, batch: int, dims: tuple[int, ...]
+) -> list[np.ndarray]:
+    """Float payoffs per player: (batch, m_k, profiles_k), profiles in
+    lexicographic order over the other players (first most significant)."""
+    total = math.prod(dims)
+    return [rng.random((batch, mk, total // mk)) for mk in dims]
+
+
 def sample_tensor_rank_batch(
     rng: np.random.Generator, batch: int, dims: tuple[int, ...]
 ) -> list[np.ndarray]:
-    """Rank tensors per player: (batch, m_k, profiles_k), profiles in
-    lexicographic order over the other players (first most significant)."""
-    out = []
-    for k, mk in enumerate(dims):
-        profiles = 1
-        for j, d in enumerate(dims):
-            if j != k:
-                profiles *= d
-        out.append(_rank(rng.random((batch, mk, profiles)), 1))
-    return out
+    """Rank tensors of the payoffs :func:`sample_tensor_payoff_batch` draws
+    from the same ``rng``."""
+    return [rank_along(u, 1) for u in sample_tensor_payoff_batch(rng, batch, dims)]
 
 
 def eliminate_tensor_batch(
     ranks: list[np.ndarray], dims: tuple[int, ...]
 ) -> dict[str, np.ndarray]:
-    """Simultaneous-deletion elimination for batches of N-player games."""
-    alive, undominated, rounds = _eliminate(
-        [np.ascontiguousarray(r.transpose(0, 2, 1)) for r in ranks]
-    )
+    """Simultaneous-deletion elimination for batches of N-player games, from
+    per-player (batch, m_k, profiles_k) payoffs or ranks."""
+    alive, undominated, rounds = _eliminate([r.transpose(0, 2, 1) for r in ranks])
     counts = [a.sum(axis=1) for a in alive]
     return {
         "survivors": counts,

@@ -257,14 +257,16 @@ def game_from_json_dict(data: dict) -> OrdinalBimatrix | CardinalBimatrix | Ordi
     raise ValueError(f"unknown game type {kind!r}")
 
 
-def _rank_columns(u: np.ndarray) -> np.ndarray:
-    """Ranks 1..m down each column (1 = smallest payoff); leading axes of
-    ``u`` index a stack of matrices."""
-    return u.argsort(axis=-2, kind="stable").argsort(axis=-2, kind="stable") + 1
-
-
-def _rank_rows(u: np.ndarray) -> np.ndarray:
-    return u.argsort(axis=-1, kind="stable").argsort(axis=-1, kind="stable") + 1
+def rank_along(u: np.ndarray, axis: int) -> np.ndarray:
+    """Ranks 1..K of ``u`` along ``axis`` (1 = smallest; tied entries in
+    index order), from one stable argsort and an inverse-permutation
+    scatter."""
+    k = u.shape[axis]
+    order = u.argsort(axis=axis, kind="stable")
+    ranks = np.empty(u.shape, dtype=np.int16 if k <= np.iinfo(np.int16).max else np.int32)
+    shape = [k if a == axis else 1 for a in range(u.ndim)]
+    np.put_along_axis(ranks, order, np.arange(1, k + 1, dtype=ranks.dtype).reshape(shape), axis)
+    return ranks
 
 
 def sample_baseline(m: int, n: int, seed: Seed) -> OrdinalBimatrix:
@@ -346,7 +348,7 @@ def ordinalize(game: CardinalBimatrix) -> OrdinalBimatrix:
     """Rank form of a cardinal game (1 = worst). Raises on tied payoffs."""
     u_row = np.array(game.u_row)
     u_col = np.array(game.u_col)
-    return OrdinalBimatrix(_rank_columns(u_row).tolist(), _rank_rows(u_col).tolist())
+    return OrdinalBimatrix(rank_along(u_row, 0).tolist(), rank_along(u_col, 1).tolist())
 
 
 def sample_nondecreasing_br(m: int, n: int, seed: Seed | None = None,

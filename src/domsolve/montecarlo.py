@@ -186,14 +186,12 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     rng = spec.seed.generator(index)
     src = spec.source
     if spec.metric == POINT_RAT_UNIQUE:
-        row_ranks, col_ranks = kernels.sample_rank_batch(
-            rng, size, src.m, src.n, src.game_class
-        )
-        count_r, count_c = kernels.point_rationalizable_counts(row_ranks, col_ranks)
+        u_row, u_col = kernels.sample_payoff_batch(rng, size, src.m, src.n, src.game_class)
+        count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
         return {"unique": int(((count_r == 1) & (count_c == 1)).sum())}
     if src.is_nplayer:
-        ranks = kernels.sample_tensor_rank_batch(rng, size, src.dims)
-        out = kernels.eliminate_tensor_batch(ranks, src.dims)
+        payoffs = kernels.sample_tensor_payoff_batch(rng, size, src.dims)
+        out = kernels.eliminate_tensor_batch(payoffs, src.dims)
         solvable = out["solvable"]
         iters = out["iterations"]
         u0 = out["undominated"][0]
@@ -207,8 +205,8 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
             "sc_hist": Counter(np.asarray(s0).tolist()),
             "u_hist": Counter(np.asarray(u0).tolist()),
         }
-    row_ranks, col_ranks = kernels.sample_rank_batch(rng, size, src.m, src.n, src.game_class)
-    out = kernels.eliminate_batch(row_ranks, col_ranks)
+    u_row, u_col = kernels.sample_payoff_batch(rng, size, src.m, src.n, src.game_class)
+    out = kernels.eliminate_batch(u_row, u_col)
     solvable = out["solvable"]
     iters = out["iterations"]
     s_c = out["s_c"]
@@ -247,15 +245,16 @@ def _mixed_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     rat_r, rat_c = (alive.sum(axis=1) for alive in mixed["rationalizable"])
     solvable = (rat_r == 1) & (rat_c == 1)
     iters = mixed["iterations"][solvable]
-    row_ranks, col_ranks = games._rank_columns(u_row), games._rank_rows(u_col)
-    count_r, count_c = kernels.point_rationalizable_counts(row_ranks, col_ranks)
+    # CardinalBimatrix rejects ties along both players' own axes, so the
+    # payoffs order the actions exactly as their ranks do.
+    count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
     return {
         "solvable": int(solvable.sum()),
         "iter_sum": int(iters.sum()),
         "iter_sq": int((iters**2).sum()),
         "rat_cols_sum": int(rat_c.sum()),
         "rat_cols_sq": int((rat_c**2).sum()),
-        "pure_solvable": int(kernels.eliminate_batch(row_ranks, col_ranks)["solvable"].sum()),
+        "pure_solvable": int(kernels.eliminate_batch(u_row, u_col)["solvable"].sum()),
         "prat_unique": int(((count_r == 1) & (count_c == 1)).sum()),
         "lp_checks": mixed["lp_checks"],
         "lp_fallbacks": mixed["lp_fallbacks"],

@@ -17,6 +17,7 @@ from domsolve.games import (
     game_from_json_dict,
     opponent_profile_count,
     ordinalize,
+    rank_along,
     sample_baseline,
     sample_cardinal,
     sample_class,
@@ -100,6 +101,17 @@ def test_ordinalize_examples():
         [[0.2, 0.7, 0.5], [0.5, 0.3, 0.9]],
     )
     assert ordinalize(g2).col_ranks[0] == (1, 3, 2)
+
+
+def test_rank_along_matches_stable_double_argsort():
+    # the reference is argsort of a stable argsort: tied entries rank in
+    # index order
+    rng = np.random.default_rng(12)
+    for shape in ((4, 5), (3, 1, 6), (6, 7, 2)):
+        for u in (rng.integers(0, 3, shape), rng.random(shape)):
+            for axis in range(len(shape)):
+                want = u.argsort(axis=axis, kind="stable").argsort(axis=axis, kind="stable") + 1
+                assert np.array_equal(rank_along(u, axis), want)
 
 
 def test_ordinalized_cardinal_ranks_uniform():

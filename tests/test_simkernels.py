@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from domsolve import _simkernels as kernels
+from domsolve import montecarlo
 from domsolve.elimination import count_pure_nash, iterate_nplayer, metrics, undominated_nplayer
-from domsolve.games import GameClass, OrdinalBimatrix, OrdinalTensorGame, Seed
+from domsolve.games import GameClass, OrdinalBimatrix, OrdinalTensorGame, Seed, rank_along
 from domsolve.montecarlo import PI, ExperimentSpec, GameSource
 
 
@@ -50,6 +51,7 @@ WORDS = {
     1: (np.uint8, 1),
     8: (np.uint8, 1),
     9: (np.uint16, 1),
+    15: (np.uint16, 1),
     16: (np.uint16, 1),
     17: (np.uint32, 1),
     63: (np.uint64, 1),
@@ -61,24 +63,28 @@ WORDS = {
 
 @pytest.mark.parametrize("k", sorted(WORDS))
 def test_word_boundaries(k):
+    # K = 15, 16 and 17 straddle COMPARE_MAX_K, so both builds are checked
     rng = np.random.default_rng(k)
     batch, profiles = 5, 4
-    values = rng.integers(0, 3, (batch, profiles, k))  # ties
-    values[0] = rng.permutation(k) + 1  # and one game of ranks
+    ints = rng.integers(0, 3, (batch, profiles, k))  # ties
+    ints[0] = rng.permutation(k) + 1  # and one game of ranks
+    floats = rng.random((batch, profiles, k))
+    floats[:, 1:, k // 2] = floats[:, 1:, 0]  # and float ties
     alive_own, alive_opp = random_masks(rng, batch, profiles, k)
     alive_own[1] = True
     alive_opp[1] = True
-
-    beaten = kernels.outrank_bits(values)
     dtype, words = WORDS[k]
-    assert beaten.dtype == dtype and beaten.shape == (batch, profiles, k, words)
     bits = 8 * np.dtype(dtype).itemsize
     y = np.arange(k)
-    members = (beaten[..., y // bits] >> (y % bits).astype(dtype)) & 1  # (B, P, x, y)
-    assert np.array_equal(members.astype(bool), values[:, :, None, :] > values[:, :, :, None])
 
-    want = brute_dominated(values, alive_own, alive_opp)
-    assert np.array_equal(kernels._dominated(values, alive_own, alive_opp, beaten), want)
+    for values in (ints, floats):
+        beaten = kernels.outrank_bits(values)
+        assert beaten.dtype == dtype and beaten.shape == (batch, profiles, k, words)
+        members = (beaten[..., y // bits] >> (y % bits).astype(dtype)) & 1  # (B, P, x, y)
+        assert np.array_equal(members.astype(bool), values[:, :, None, :] > values[:, :, :, None])
+
+        want = brute_dominated(values, alive_own, alive_opp)
+        assert np.array_equal(kernels._dominated(values, alive_own, alive_opp, beaten), want)
 
 
 def _bimatrix_matches(rr, cc):
@@ -133,6 +139,41 @@ def test_tensor_batch_matches_scalar_engine_wide(dims):
     _tensor_matches(ranks, dims)
 
 
+def _same_outputs(got, want):
+    assert len(got) == len(want)
+    for key in (want if isinstance(want, dict) else range(len(want))):
+        assert np.array_equal(got[key], want[key]), key
+
+
+@pytest.mark.parametrize("game_class", list(GameClass))
+def test_kernels_agree_on_payoffs_and_ranks(game_class):
+    # The batch worker feeds the kernels float draws and the scalar-engine
+    # tests feed them ranks: both must give every output key by key. The
+    # constant-sum draws are <= 0, below a dead-action value of 0.
+    if game_class.requires_square:
+        shapes = ((1, 1), (5, 5), (17, 17))
+    else:
+        shapes = ((1, 4), (4, 1), (3, 5), (7, 7), (2, 20), (18, 3))
+    for m, n in shapes:
+        u_row, u_col = kernels.sample_payoff_batch(np.random.default_rng(m * n), 64, m, n, game_class)
+        rr, cc = kernels.sample_rank_batch(np.random.default_rng(m * n), 64, m, n, game_class)
+        assert np.array_equal(rank_along(u_row, 1), rr) and np.array_equal(rank_along(u_col, 2), cc)
+        _same_outputs(kernels.eliminate_batch(u_row, u_col), kernels.eliminate_batch(rr, cc))
+        _same_outputs(
+            kernels.point_rationalizable_counts(u_row, u_col),
+            kernels.point_rationalizable_counts(rr, cc),
+        )
+
+
+@pytest.mark.parametrize("dims", [(1, 3, 2), (2, 1, 3), (3, 3, 1), (1, 17), (18, 2, 1), (2, 2, 2, 1)])
+def test_tensor_kernel_agrees_on_payoffs_and_ranks(dims):
+    payoffs = kernels.sample_tensor_payoff_batch(np.random.default_rng(sum(dims)), 64, dims)
+    ranks = kernels.sample_tensor_rank_batch(np.random.default_rng(sum(dims)), 64, dims)
+    for u, r in zip(payoffs, ranks):
+        assert np.array_equal(rank_along(u, 1), r)
+    _same_outputs(kernels.eliminate_tensor_batch(payoffs, dims), kernels.eliminate_tensor_batch(ranks, dims))
+
+
 @pytest.mark.parametrize(
     "m, n, game_class",
     [
@@ -156,4 +197,32 @@ def test_batch_bytes_bounds_the_measured_peak(m, n, game_class):
     finally:
         tracemalloc.stop()
     estimate = kernels.batch_bytes(batch, (m, n))
+    assert peak <= estimate <= 4 * peak, (peak, estimate)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        GameSource(m=7, n=7),
+        GameSource(m=2, n=20),
+        GameSource(m=8, n=8, game_class=GameClass.STRAT_COMPLEMENTS),
+        GameSource(m=3, n=70),
+        GameSource(m=2, n=400),
+        GameSource(dims=(3, 3, 3)),
+        GameSource(dims=(2, 65, 1)),
+    ],
+    ids=["7x7", "2x20", "8x8-complements", "3x70", "2x400", "3x3x3", "2x65x1"],
+)
+def test_batch_bytes_bounds_the_batch_worker_peak(source):
+    # The batch worker keeps its float draws alive through elimination; the
+    # estimate must cover that too, within a small factor.
+    spec = ExperimentSpec(PI, source, 1, Seed(0))
+    batch = spec.effective_batch_size()
+    tracemalloc.start()
+    try:
+        montecarlo._pure_batch_tallies(spec, 0, batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    estimate = kernels.batch_bytes(batch, source.dims or (source.m, source.n))
     assert peak <= estimate <= 4 * peak, (peak, estimate)
