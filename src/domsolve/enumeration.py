@@ -1,8 +1,13 @@
 """Exhaustive enumeration oracles over the finite outcome spaces.
 
-These run the real elimination machinery (or the raw dominance definition)
-over every equiprobable state, producing exact rational distributions that
-the closed forms in :mod:`domsolve.exact` must match with zero tolerance.
+These decide every equiprobable state of a finite outcome space and count
+the outcomes, producing exact rational distributions that the closed forms
+in :mod:`domsolve.exact` must match with zero tolerance. The 2 x n states go
+through the batch elimination kernel of :mod:`domsolve._simkernels` in
+chunks, the 3 x n table is counted on the outrank bitsets of the
+permutations, and the 2 x 2 classes run the scalar engine of
+:mod:`domsolve.elimination`. The test suite checks the batch paths against
+the scalar engine state by state and against the raw dominance definition.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import _simkernels as kernels
 from .elimination import _run_elimination
 from .exact import CapacityError
 from .games import ROW, CardinalBimatrix, GameClass, OrdinalBimatrix, ordinalize
@@ -21,6 +27,10 @@ from .rationalizability import point_rationalizable_sets
 
 MAX_FULL_2XN = 8
 MAX_UC_3XN = 6
+# States per batch-kernel call of enumerate_2xn. A multiple of 2^MAX_FULL_2XN,
+# so each call holds the row patterns of whole second rankings; bounded calls
+# keep peak memory flat in n (n = 8 has about 10^7 states).
+CHUNK_STATES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -53,54 +63,69 @@ class ExactDistributionReport:
         return second - mean * mean
 
 
+def _permutations(n: int) -> np.ndarray:
+    """(n!, n) int16 array of the permutations of 1..n, lexicographic."""
+    return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int16)
+
+
+def _states_2xn(perms: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column rank stacks (hi - lo, 2, n) of states lo..hi-1 of the
+    reduced 2 x n state space.
+
+    State s pairs the second column ranking ``perms[s >> n]`` (the first is
+    the identity) with the row pattern s mod 2^n, whose bit j set means row
+    0 is the better row in column j.
+    """
+    n = perms.shape[1]
+    states = np.arange(lo, hi)
+    top = (1 + (states[:, None] >> np.arange(n) & 1)).astype(np.int16)
+    col_ranks = np.empty((hi - lo, 2, n), dtype=np.int16)
+    col_ranks[:, 0] = np.arange(1, n + 1)
+    col_ranks[:, 1] = perms[states >> n]
+    return np.stack([top, 3 - top], axis=1), col_ranks
+
+
 def enumerate_2xn(n: int) -> ExactDistributionReport:
-    """Run the elimination engine over every equiprobable 2 x n state.
+    """Decide every equiprobable 2 x n state with the batch elimination
+    kernel and count the outcomes.
 
     Because column labels never matter, the first column ranking can be fixed
     to the identity: the state space is the n! second rankings crossed with
-    the 2^n per-column row orders, all equally likely.
+    the 2^n per-column row orders, all equally likely. The states go to
+    ``_simkernels.eliminate_batch`` as int16 rank stacks, ``CHUNK_STATES``
+    per call; the test suite checks every state for n <= 5 against the
+    scalar engine of :mod:`domsolve.elimination`.
     """
     if not 1 <= n <= MAX_FULL_2XN:
         raise CapacityError(f"enumerate_2xn supports 1 <= n <= {MAX_FULL_2XN}")
-    identity = tuple(range(1, n + 1))
-    # Row-rank matrices for every per-column pattern; bit j set means row 0
-    # is the better row in column j.
-    patterns = []
-    for bits in range(1 << n):
-        top = tuple(2 if bits >> j & 1 else 1 for j in range(n))
-        bottom = tuple(3 - t for t in top)
-        patterns.append((top, bottom))
-    all_rows = (0, 1)
-    all_cols = tuple(range(n))
-
-    solvable_states = 0
-    iteration_states = [0, 0, 0, 0]
-    undominated_states = [0] * (n + 1)
-    survivor_states = [0] * (n + 1)
-    for c2 in itertools.permutations(identity):
-        col_ranks = (identity, c2)
-        for row_ranks in patterns:
-            rounds, rows, cols, _, u_c = _run_elimination(
-                row_ranks, col_ranks, all_rows, all_cols
-            )
-            undominated_states[u_c] += 1
-            survivor_states[len(cols)] += 1
-            if len(rows) == 1 and len(cols) == 1:
-                solvable_states += 1
-                iteration_states[len(rounds)] += 1
+    perms = _permutations(n)
     total = math.factorial(n) * 2**n
+    solvable_states = 0
+    # iteration_states[i]: solvable states taking i rounds (at most 3 in 2 x n)
+    iteration_states = np.zeros(4, dtype=np.int64)
+    undominated_states = np.zeros(n + 1, dtype=np.int64)
+    survivor_states = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, total, CHUNK_STATES):
+        out = kernels.eliminate_batch(*_states_2xn(perms, lo, min(lo + CHUNK_STATES, total)))
+        solvable_states += int(out["solvable"].sum())
+        iteration_states += np.bincount(out["iterations"][out["solvable"]], minlength=4)
+        undominated_states += np.bincount(out["u_c"], minlength=n + 1)
+        survivor_states += np.bincount(out["s_c"], minlength=n + 1)
+    iterations = iteration_states.tolist()
+    undominated = undominated_states.tolist()
+    survivors = survivor_states.tolist()
     return ExactDistributionReport(
         n=n,
         total_states=total,
         solvable_probability=Fraction(solvable_states, total),
         dist_iterations=tuple(
-            Fraction(iteration_states[i], solvable_states) for i in (1, 2, 3)
+            Fraction(iterations[i], solvable_states) for i in (1, 2, 3)
         ),
         dist_undominated=tuple(
-            Fraction(undominated_states[k], total) for k in range(1, n + 1)
+            Fraction(undominated[k], total) for k in range(1, n + 1)
         ),
         dist_survivors=tuple(
-            Fraction(survivor_states[k], total) for k in range(1, n + 1)
+            Fraction(survivors[k], total) for k in range(1, n + 1)
         ),
     )
 
@@ -109,23 +134,24 @@ def enumerate_undominated_3xn(n: int) -> list[int]:
     """Counts of second/third column-ranking pairs (first fixed to identity)
     leaving exactly k = 1..n column actions of a 3 x n game undominated.
 
-    Enumerates all (n!)^2 pairs against the raw dominance definition; row
-    sums are (n!)^2 and the counts generalize the unsigned Stirling numbers
-    of the first kind.
+    Enumerates all (n!)^2 pairs on the outrank bitsets of the n!
+    permutations (``_simkernels.outrank_bits``); row sums are (n!)^2 and the
+    counts generalize the unsigned Stirling numbers of the first kind. The
+    test suite checks them against a brute force over the raw dominance
+    definition.
     """
     if not 1 <= n <= MAX_UC_3XN:
         raise CapacityError(f"enumerate_undominated_3xn supports 1 <= n <= {MAX_UC_3XN}")
-    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int16)
+    perms = _permutations(n)
+    # Bit k of above[p, j] is set iff permutation p ranks column k above j.
+    above = kernels.outrank_bits(perms[None])[0, :, :, 0]
+    # With the first ranking equal to the identity, column j is dominated
+    # exactly when some k > j is ranked above j by both other rankings.
+    later = np.array([(1 << n) - (2 << j) for j in range(n)], dtype=above.dtype)
     counts = np.zeros(n + 1, dtype=np.int64)
-    # With the first ranking equal to the identity, column j is dominated by
-    # k > j exactly when both remaining rankings also prefer k.
-    for c2 in itertools.permutations(range(1, n + 1)):
-        dominated = np.zeros((perms.shape[0], n), dtype=bool)
-        for j in range(n):
-            for k in range(j + 1, n):
-                if c2[k] > c2[j]:
-                    dominated[:, j] |= perms[:, k] > perms[:, j]
-        counts += np.bincount(n - dominated.sum(axis=1), minlength=n + 1)
+    for c2_later in above & later:
+        dominated = (c2_later & above).astype(bool).sum(axis=1)
+        counts += np.bincount(n - dominated, minlength=n + 1)
     return counts[1:].tolist()
 
 

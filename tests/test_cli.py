@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from domsolve import montecarlo
+from domsolve import exact, montecarlo
 from domsolve.cli import _decimal, main
 
 
@@ -93,6 +93,28 @@ def test_enumerate_full2xn(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "full2xn", "--n", "3")
     assert code == 0
     assert "5/8" in out
+
+
+def test_enumerate_full2xn_n7_equals_exact(capsys):
+    n = 7
+    solvable = exact.solvable_probability_2xn(n)
+    want = [
+        {"n": n, "states": math.factorial(n) * 2**n, "solvable": solvable, "solvable_decimal": _decimal(solvable)}
+    ]
+    for name, dist in (
+        ("iterations", exact.iteration_distribution_2xn(n)),
+        ("undominated", exact.undominated_distribution_2xn(n)),
+        ("survivors", exact.survivor_distribution_2xn(n)),
+    ):
+        want += [{"n": n, name: k, "probability": p} for k, p in enumerate(dist, start=1)]
+    # Reduced Fractions print canonically, so equal strings are equal values.
+    code, out, _ = run_cli(capsys, "enumerate", "full2xn", "--n", str(n), "--format", "json")
+    assert code == 0
+    assert json.loads(out) == json.loads(json.dumps(want, default=str))  # ints stay numbers
+    code, out, _ = run_cli(capsys, "enumerate", "full2xn", "--n", str(n))
+    assert code == 0
+    fields = {key for row in want for key in row}
+    assert parse_csv(out) == [{key: str(row.get(key, "")) for key in fields} for row in want]
 
 
 def test_enumerate_pointrat(capsys):

@@ -1,13 +1,18 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import stats
 
 from domsolve import _simkernels as kernels
-from domsolve import exact
+from domsolve import enumeration, exact
+from domsolve.elimination import _run_elimination
 from domsolve.enumeration import (
     Class2x2Report,
+    _permutations,
+    _states_2xn,
     enumerate_2xn,
     enumerate_class_2x2,
     enumerate_point_rat_2x2,
@@ -27,7 +32,23 @@ TABLE_3XN = {
 }
 
 
-@pytest.mark.parametrize("n", range(1, 6))
+def undominated_3xn_brute(n):
+    """The 3 x n table by the raw dominance definition: with the first
+    ranking the identity, column j is dominated by k > j exactly when both
+    remaining rankings also prefer k."""
+    perms = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int16)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    for c2 in itertools.permutations(range(1, n + 1)):
+        dominated = np.zeros((perms.shape[0], n), dtype=bool)
+        for j in range(n):
+            for k in range(j + 1, n):
+                if c2[k] > c2[j]:
+                    dominated[:, j] |= perms[:, k] > perms[:, j]
+        counts += np.bincount(n - dominated.sum(axis=1), minlength=n + 1)
+    return counts[1:].tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
 def test_enumerate_2xn_matches_exact(n):
     report = enumerate_2xn(n)
     assert report.total_states == math.factorial(n) * 2**n
@@ -39,6 +60,37 @@ def test_enumerate_2xn_matches_exact(n):
     assert report.var_survivors() == exact.var_survivors_2xn(n)
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_every_2xn_state_matches_scalar_engine(n):
+    # The batch kernel against the scalar engine state by state, over a
+    # state list that must hold every reduced 2 x n state exactly once.
+    total = math.factorial(n) * 2**n
+    rr, cc = _states_2xn(_permutations(n), 0, total)
+    out = kernels.eliminate_batch(rr, cc)
+    seen = set()
+    for s in range(total):
+        row_ranks = tuple(map(tuple, rr[s].tolist()))
+        col_ranks = tuple(map(tuple, cc[s].tolist()))
+        assert col_ranks[0] == tuple(range(1, n + 1))
+        assert sorted(col_ranks[1]) == list(range(1, n + 1))
+        assert all({row_ranks[0][j], row_ranks[1][j]} == {1, 2} for j in range(n))
+        seen.add((row_ranks, col_ranks))
+        rounds, rows, cols, _, u_c = _run_elimination(row_ranks, col_ranks, (0, 1), range(n))
+        want = (u_c, len(rows), len(cols), len(rounds), len(rows) == 1 and len(cols) == 1)
+        got = tuple(out[key][s].item() for key in ("u_c", "s_r", "s_c", "iterations", "solvable"))
+        assert got == want, (n, s)
+    assert len(seen) == total
+
+
+@pytest.mark.parametrize("chunk", [1, 1000])
+def test_enumerate_2xn_chunking(monkeypatch, chunk):
+    # 1000 does not divide the 5! * 2^5 = 3840 states, so the last call is
+    # short and the others split second rankings.
+    want = enumerate_2xn(5)
+    monkeypatch.setattr(enumeration, "CHUNK_STATES", chunk)
+    assert enumerate_2xn(5) == want
+
+
 def test_enumerate_2xn_capacity():
     with pytest.raises(CapacityError):
         enumerate_2xn(9)
@@ -48,7 +100,15 @@ def test_enumerate_2xn_capacity():
 def test_enumerate_undominated_3xn_small(n):
     counts = enumerate_undominated_3xn(n)
     assert counts == TABLE_3XN[n]
+    assert undominated_3xn_brute(n) == TABLE_3XN[n]
     assert sum(counts) == math.factorial(n) ** 2
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_undominated_3xn_bitsets_match_brute_force(n):
+    counts = enumerate_undominated_3xn(n)
+    assert counts == undominated_3xn_brute(n)
+    assert all(type(c) is int for c in counts)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

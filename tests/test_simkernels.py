@@ -2,13 +2,14 @@
 
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from domsolve import _simkernels as kernels
-from domsolve import montecarlo
+from domsolve import exact, montecarlo
 from domsolve.elimination import count_pure_nash, iterate_nplayer, metrics, undominated_nplayer
 from domsolve.games import GameClass, OrdinalBimatrix, OrdinalTensorGame, Seed, rank_along
 from domsolve.montecarlo import PI, ExperimentSpec, GameSource
@@ -108,6 +109,21 @@ def _tensor_matches(ranks, dims):
         for player in range(len(dims)):
             assert out["survivors"][player][g] == len(trace.surviving[player])
             assert out["undominated"][player][g] == len(undominated_nplayer(game, player))
+
+
+def test_every_ordinal_3x3_game():
+    # All 6^3 * 6^3 = 46656 equiprobable ordinal 3 x 3 games: each column of
+    # the row ranks and each row of the column ranks is a permutation.
+    perms = np.array(list(itertools.permutations((1, 2, 3))), dtype=np.int16)
+    per_player = np.array([perms[list(p)] for p in itertools.product(range(6), repeat=3)])
+    rr = np.repeat(per_player.transpose(0, 2, 1), 216, axis=0)
+    cc = np.tile(per_player, (216, 1, 1))
+    assert len({(r.tobytes(), c.tobytes()) for r, c in zip(rr, cc)}) == 46656
+    _bimatrix_matches(rr, cc)
+    out = kernels.eliminate_batch(rr, cc)
+    assert Fraction(int(out["solvable"].sum()), 46656) == Fraction(7, 16)
+    assert Fraction(int(out["u_c"].sum()), 46656) == exact.mean_undominated(3, 3)
+    assert Fraction(int(out["u_r"].sum()), 46656) == exact.mean_undominated(3, 3)
 
 
 SIDES = st.one_of(st.integers(1, 4), st.integers(60, 70))
