@@ -7,8 +7,8 @@ they take the float draws of :func:`sample_payoff_batch` or their ranks
 alike. The batched eliminator mirrors the simultaneous-deletion semantics of
 :mod:`domsolve.elimination` exactly (the test suite cross-checks the two
 game by game). The 2 x n CLT sampler draws no game at all: it samples the
-surviving column count from its exact law (:func:`records_law`), which
-:func:`survivors_2xn_from` derives from the order statistics of a game.
+surviving column count from its exact law (:func:`records_law`), derived
+from the order statistics of a game.
 
 Pure dominance is decided on bitsets. :func:`outrank_bits` turns a player's
 (batch, profiles, K) stack into the set of own actions ranked strictly above
@@ -304,33 +304,17 @@ def point_rationalizable_counts(
     return alive_r.sum(axis=1), alive_c.sum(axis=1)
 
 
-def survivors_2xn_from(c2: np.ndarray, row0_better: np.ndarray) -> np.ndarray:
-    """Surviving column counts of 2 x n games whose first column ranking is
-    the identity, second ranking ``c2`` (batch, n), and per-column row order
-    ``row0_better`` (batch, n).
-
-    A column is undominated iff its second-ranking value is a strict suffix
-    maximum, and the game is solvable iff one row beats the other on every
-    undominated column (then exactly one column survives). Verified against
-    the generic engine state by state in the test suite.
-    """
-    suffix_max = np.maximum.accumulate(c2[:, ::-1], axis=1)[:, ::-1]
-    undominated = c2 == suffix_max
-    k = undominated.sum(axis=1)
-    wins = (row0_better & undominated).sum(axis=1)
-    solvable = (wins == 0) | (wins == k)
-    return np.where(solvable, 1, k)
-
-
 def records_law(n: int) -> np.ndarray:
     """Float law p[k] (k = 0, 1, ...) of the number of undominated columns of
     a random 2 x n game, s(n, k) / n!.
 
-    By :func:`survivors_2xn_from` that number is the count of right-to-left
-    records of a uniform permutation, a sum of independent Bernoulli(1/i),
-    i = 1..n; the Poisson-binomial recurrence builds its law in
-    O(n * support). Only a tail that underflows to exactly 0.0 is dropped,
-    which changes no later entry.
+    Fix Column's first ranking to the identity. A column is then undominated
+    iff its value in the second ranking is a strict suffix maximum (the test
+    suite checks this against the generic engine state by state), so that
+    number is the count of right-to-left records of a uniform permutation,
+    a sum of independent Bernoulli(1/i), i = 1..n; the Poisson-binomial
+    recurrence builds its law in O(n * support). Only a tail that underflows
+    to exactly 0.0 is dropped, which changes no later entry.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

