@@ -295,13 +295,16 @@ def _draw_matrix(
 
 
 def _tie_mask(u: np.ndarray, axis: int) -> np.ndarray:
-    """Entries that collide with another entry along ``axis``."""
-    eq = u[None, :, :] == u[:, None, :] if axis == 0 else u[:, :, None] == u[:, None, :]
+    """Entries that collide with another entry along ``axis`` (0: within a
+    column, 1: within a row) of an m x n matrix, or of each matrix of a
+    stack indexed by the leading axes."""
     if axis == 0:
-        eq &= ~np.eye(u.shape[0], dtype=bool)[:, :, None]
-        return eq.any(axis=0)
-    eq &= ~np.eye(u.shape[1], dtype=bool)[None, :, :]
-    return eq.any(axis=1)
+        eq = u[..., None, :, :] == u[..., :, None, :]
+        eq &= ~np.eye(u.shape[-2], dtype=bool)[:, :, None]
+        return eq.any(axis=-3)
+    eq = u[..., :, :, None] == u[..., :, None, :]
+    eq &= ~np.eye(u.shape[-1], dtype=bool)
+    return eq.any(axis=-2)
 
 
 def _resample_ties(
@@ -399,17 +402,6 @@ def sample_class(
     return _sample_class_impl(seed.generator(), game_class, m, n, distribution)
 
 
-def _driven_payoffs(game_class: GameClass, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Payoffs (u_row, u_col) of a symmetric ((R, R^T)), potential ((R, R))
-    or constant-sum ((R, 1-R)) game driven by ``r``, an m x n matrix or a
-    stack of them."""
-    if game_class is GameClass.SYMMETRIC:
-        return r, np.swapaxes(r, -1, -2)
-    if game_class is GameClass.POTENTIAL:
-        return r, r
-    return r, 1.0 - r
-
-
 def _sample_class_impl(
     rng: np.random.Generator, game_class: GameClass, m: int, n: int, distribution: str
 ) -> CardinalBimatrix:
@@ -425,8 +417,13 @@ def _sample_class_impl(
         r = rng.random((m, n))
         while len(set(r.ravel().tolist())) != m * n:  # pragma: no cover
             r = rng.random((m, n))
-        u_row, u_col = _driven_payoffs(game_class, r)
-        return CardinalBimatrix(u_row.tolist(), u_col.tolist())
+        if game_class is GameClass.SYMMETRIC:
+            u_col = r.T
+        elif game_class is GameClass.POTENTIAL:
+            u_col = r
+        else:
+            u_col = 1.0 - r
+        return CardinalBimatrix(r.tolist(), u_col.tolist())
 
     # Strategic complementarities: Row's best response b: [n] -> [m] and
     # (independently) Column's d: [m] -> [n], both nondecreasing.

@@ -233,19 +233,6 @@ def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.Card
     return game
 
 
-def _has_tie(u: np.ndarray, axis: int) -> bool:
-    """Whether any two entries of ``u`` that share all other indices are
-    equal along ``axis``."""
-    s = np.moveaxis(np.sort(u, axis=axis), axis, -1)
-    return bool((s[..., 1:] == s[..., :-1]).any())
-
-
-def _crra(u: np.ndarray, alpha: float) -> np.ndarray:
-    # Python's float pow, as games.apply_crra computes it: np.power may round
-    # differently in the last bit.
-    return np.array([x**alpha for x in u.ravel().tolist()]).reshape(u.shape)
-
-
 def _draw_game_by_game(
     rng: np.random.Generator, src: GameSource, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -260,36 +247,17 @@ def _draw_cardinal_batch(
     ``size`` calls of :func:`_draw_cardinal_game`, leaving ``rng`` in the
     same state.
 
-    The baseline class is one (size, 2, m, n) draw (Row's matrix, then
-    Column's, game by game), and the symmetric, potential and constant-sum
-    classes one (size, m, n) draw of their driving matrix. When any game of
-    the draw would be redrawn or rejected game by game (a tie, or a negative
-    payoff under CRRA), the batch is replayed game by game from the saved
-    state, which resamples or raises exactly as the per-game path does. The
-    strategic-complements classes interleave permutation draws and are
-    always drawn game by game.
+    A baseline-class source without CRRA is one (size, 2, m, n) draw (Row's
+    matrix, then Column's, game by game). When any game of that draw has a
+    tie the per-game path would redraw, the batch is replayed game by game
+    from the saved state. Every other source is drawn game by game.
     """
-    m, n, game_class = src.m, src.n, src.game_class
-    if game_class in (GameClass.STRAT_COMPLEMENTS, GameClass.STRAT_COMPLEMENTS_SYM):
+    if src.game_class is not GameClass.BASELINE or src.crra_alpha not in (None, 1.0):
         return _draw_game_by_game(rng, src, size)
     saved = rng.bit_generator.state
-    if game_class is GameClass.BASELINE:
-        draws = games._draw_matrix(rng, (size, 2, m, n), src.distribution)
-        u_row, u_col = draws[:, 0], draws[:, 1]
-        clean = True
-    else:
-        r = rng.random((size, m, n))
-        # The per-game sampler redraws a driving matrix with any repeated value.
-        clean = not _has_tie(r.reshape(size, m * n), 1)
-        u_row, u_col = games._driven_payoffs(game_class, r)
-    alpha = src.crra_alpha
-    if clean and alpha is not None and alpha != 1.0:
-        clean = not ((u_row < 0).any() or (u_col < 0).any())
-        if clean:
-            u_row, u_col = _crra(u_row, alpha), _crra(u_col, alpha)
-    # CardinalBimatrix rejects ties along both players' own axes; a tie that
-    # only CRRA creates makes the per-game path raise.
-    if clean and not (_has_tie(u_row, 1) or _has_tie(u_col, 2)):
+    draws = games._draw_matrix(rng, (size, 2, src.m, src.n), src.distribution)
+    u_row, u_col = draws[:, 0], draws[:, 1]
+    if not (games._tie_mask(u_row, 0).any() or games._tie_mask(u_col, 1).any()):
         return np.ascontiguousarray(u_row), np.ascontiguousarray(u_col)
     rng.bit_generator.state = saved
     return _draw_game_by_game(rng, src, size)

@@ -265,19 +265,13 @@ class _ReplayStream:
     standard_normal = random
 
 
-def _values_per_game(source):
-    return source.m * source.n * (2 if source.game_class is GameClass.BASELINE else 1)
-
-
 @pytest.mark.parametrize(
     "source, cells",
     [
         (GameSource(m=3, n=4), (1, 5)),  # Row's column 1
         (GameSource(m=3, n=4), (12, 13)),  # Column's row 0
-        (GameSource(m=3, n=4, crra_alpha=0.41), (16, 19)),  # Column's row 1
-        (GameSource(m=3, n=3, game_class=GameClass.POTENTIAL), (0, 4)),
-        (GameSource(m=3, n=3, game_class=GameClass.SYMMETRIC), (2, 6)),
-        (GameSource(m=2, n=3, game_class=GameClass.CONSTANT_SUM), (0, 5)),
+        (GameSource(m=4, n=2, distribution="normal"), (8, 9)),  # Column's row 0
+        (GameSource(m=1, n=3), (3, 5)),  # Column's only row
     ],
 )
 def test_cardinal_batch_replays_a_tied_batch(source, cells, monkeypatch):
@@ -288,7 +282,7 @@ def test_cardinal_batch_replays_a_tied_batch(source, cells, monkeypatch):
         return _draw_cardinal_game(rng, src)
 
     monkeypatch.setattr(montecarlo, "_draw_cardinal_game", counted)
-    per_game = _values_per_game(source)
+    per_game = 2 * source.m * source.n
     clean = np.random.default_rng(41).random(20 * 9 * per_game)
     # Game 4 of the batch repeats a value.
     tied = clean.copy()
@@ -306,6 +300,27 @@ def test_cardinal_batch_replays_a_tied_batch(source, cells, monkeypatch):
     assert not calls
     want = _per_game_stacks(_ReplayStream(clean), source, 9)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        GameSource(m=3, n=4, crra_alpha=0.41),
+        GameSource(m=3, n=3, game_class=GameClass.POTENTIAL),
+        GameSource(m=3, n=3, game_class=GameClass.STRAT_COMPLEMENTS),
+    ],
+    ids=lambda s: f"{s.game_class.value}-{s.crra_alpha}",
+)
+def test_cardinal_batch_draws_other_sources_game_by_game(source, monkeypatch):
+    calls = []
+
+    def counted(rng, src):
+        calls.append(1)
+        return _draw_cardinal_game(rng, src)
+
+    monkeypatch.setattr(montecarlo, "_draw_cardinal_game", counted)
+    _draw_cardinal_batch(Seed(5).generator(), source, 9)
+    assert len(calls) == 9
 
 
 def _crra_tie_pair(alpha):
