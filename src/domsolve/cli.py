@@ -142,92 +142,78 @@ def _seed_from_args(args) -> Seed:
 # --------------------------------------------------------------------------
 # exact
 
-_EXACT_TABLES = (
-    "solvability",
-    "iterations-dist",
-    "iterations-mean",
-    "undominated-dist",
-    "survivors-dist",
-    "survivors-mean",
-    "survivors-var",
-    "stirling",
-    "undominated-mean",
-    "undominated-bounds",
-    "union-lower-bound",
-    "blocking-event",
-    "row-elim-bound",
-    "solvability-lower-bound",
-    "point-rat-unique",
-    "no-dominated-3xn",
-)
+def _valued(row: dict, value, decimal: bool = True) -> dict:
+    """``row`` with ``value`` and, unless ``decimal`` is False, its decimal."""
+    row["value"] = value
+    if decimal:
+        row["decimal"] = _decimal(value)
+    return row
+
+
+def _per_n(fn):
+    """Rows of a table with one value per n."""
+    return lambda m, n: [_valued({"n": n}, fn(n))]
+
+
+def _per_k(fn):
+    """Rows of a table with one value per k = 1.. of the sequence ``fn(n)``."""
+    return lambda m, n: [_valued({"n": n, "k": k}, v) for k, v in enumerate(fn(n), start=1)]
+
+
+def _per_mn(fn, decimal: bool = True, n_key: str = "n"):
+    """Rows of a table with one value per (m, n)."""
+    return lambda m, n: [_valued({"m": m, n_key: n}, fn(m, n), decimal)]
+
+
+def _iterations_dist_rows(m: int, n: int) -> list[dict]:
+    p1, p2, p3 = exact.iteration_distribution_2xn(n)
+    return [
+        {
+            "n": n,
+            "pr_1_round": p1,
+            "pr_2_rounds": p2,
+            "pr_3_rounds": p3,
+            "decimal_1": _decimal(p1),
+            "decimal_2": _decimal(p2),
+            "decimal_3": _decimal(p3),
+        }
+    ]
+
+
+def _undominated_bounds_rows(m: int, n: int) -> list[dict]:
+    lo, hi = exact.undominated_mean_bounds(m, n)
+    return [{"m": m, "n": n, "lower": lo, "upper": hi}]
+
+
+def _no_dominated_3xn_rows(m: int, n: int) -> list[dict]:
+    lo, hi = exact.no_dominated_column_bounds_3xn(n)
+    return [{"n": n, "lower": lo, "lower_decimal": _decimal(lo), "upper": hi}]
+
+
+# Each table's rows for one (m, n); tables of 2 x n games ignore m.
+_EXACT_TABLES = {
+    "solvability": _per_n(exact.solvable_probability_2xn),
+    "iterations-dist": _iterations_dist_rows,
+    "iterations-mean": _per_n(exact.mean_iterations_2xn),
+    "undominated-dist": _per_k(exact.undominated_distribution_2xn),
+    "survivors-dist": _per_k(exact.survivor_distribution_2xn),
+    "survivors-mean": _per_n(exact.mean_survivors_2xn),
+    "survivors-var": _per_n(exact.var_survivors_2xn),
+    "stirling": _per_k(exact.stirling_row),
+    "undominated-mean": _per_mn(exact.mean_undominated),
+    "undominated-bounds": _undominated_bounds_rows,
+    "union-lower-bound": _per_mn(exact.undominated_fraction_lower_bound, decimal=False),
+    "blocking-event": _per_mn(exact.blocking_event_probability, n_key="j"),
+    "row-elim-bound": _per_mn(exact.row_elimination_probability_bound, decimal=False),
+    "solvability-lower-bound": _per_mn(exact.solvable_probability_lower_bound),
+    "point-rat-unique": _per_mn(exact.unique_point_rationalizable_probability),
+    "no-dominated-3xn": _no_dominated_3xn_rows,
+}
 
 
 def _cmd_exact(args) -> int:
-    rows = []
-    ns = _parse_n_range(args.n)
-    for n in ns:
-        table = args.table
-        if table == "solvability":
-            v = exact.solvable_probability_2xn(n)
-            rows.append({"n": n, "value": v, "decimal": _decimal(v)})
-        elif table == "iterations-dist":
-            p1, p2, p3 = exact.iteration_distribution_2xn(n)
-            rows.append(
-                {
-                    "n": n,
-                    "pr_1_round": p1,
-                    "pr_2_rounds": p2,
-                    "pr_3_rounds": p3,
-                    "decimal_1": _decimal(p1),
-                    "decimal_2": _decimal(p2),
-                    "decimal_3": _decimal(p3),
-                }
-            )
-        elif table == "iterations-mean":
-            v = exact.mean_iterations_2xn(n)
-            rows.append({"n": n, "value": v, "decimal": _decimal(v)})
-        elif table == "undominated-dist":
-            for k, p in enumerate(exact.undominated_distribution_2xn(n), start=1):
-                rows.append({"n": n, "k": k, "value": p, "decimal": _decimal(p)})
-        elif table == "survivors-dist":
-            for k, p in enumerate(exact.survivor_distribution_2xn(n), start=1):
-                rows.append({"n": n, "k": k, "value": p, "decimal": _decimal(p)})
-        elif table == "survivors-mean":
-            v = exact.mean_survivors_2xn(n)
-            rows.append({"n": n, "value": v, "decimal": _decimal(v)})
-        elif table == "survivors-var":
-            v = exact.var_survivors_2xn(n)
-            rows.append({"n": n, "value": v, "decimal": _decimal(v)})
-        elif table == "stirling":
-            for k, s in enumerate(exact.stirling_row(n), start=1):
-                rows.append({"n": n, "k": k, "value": s, "decimal": _decimal(s)})
-        elif table == "undominated-mean":
-            v = exact.mean_undominated(args.m, n)
-            rows.append({"m": args.m, "n": n, "value": v, "decimal": _decimal(v)})
-        elif table == "undominated-bounds":
-            lo, hi = exact.undominated_mean_bounds(args.m, n)
-            rows.append({"m": args.m, "n": n, "lower": lo, "upper": hi})
-        elif table == "union-lower-bound":
-            v = exact.undominated_fraction_lower_bound(args.m, n)
-            rows.append({"m": args.m, "n": n, "value": v})
-        elif table == "blocking-event":
-            v = exact.blocking_event_probability(args.m, n)
-            rows.append({"m": args.m, "j": n, "value": v, "decimal": _decimal(v)})
-        elif table == "row-elim-bound":
-            v = exact.row_elimination_probability_bound(args.m, n)
-            rows.append({"m": args.m, "n": n, "value": v})
-        elif table == "solvability-lower-bound":
-            v = exact.solvable_probability_lower_bound(args.m, n)
-            rows.append({"m": args.m, "n": n, "value": v, "decimal": _decimal(v)})
-        elif table == "point-rat-unique":
-            v = exact.unique_point_rationalizable_probability(args.m, n)
-            rows.append({"m": args.m, "n": n, "value": v, "decimal": _decimal(v)})
-        elif table == "no-dominated-3xn":
-            lo, hi = exact.no_dominated_column_bounds_3xn(n)
-            rows.append(
-                {"n": n, "lower": lo, "lower_decimal": _decimal(lo), "upper": hi}
-            )
-    _emit(rows, args)
+    build = _EXACT_TABLES[args.table]
+    _emit([row for n in _parse_n_range(args.n) for row in build(args.m, n)], args)
     return 0
 
 
@@ -408,14 +394,15 @@ def _cmd_game(args) -> int:
         sys.stdout.write(json.dumps(game.to_json_dict()) + "\n")
         return 0
     if args.what == "trace":
-        data = json.load(open(args.game) if args.game != "-" else sys.stdin)
+        if args.game == "-":
+            data = json.load(sys.stdin)
+        else:
+            with open(args.game) as handle:
+                data = json.load(handle)
         game = game_from_json_dict(data)
         if hasattr(game, "u_row"):
             game = ordinalize(game)
-        if hasattr(game, "dims"):
-            trace = elimination.iterate_nplayer(game)
-        else:
-            trace = elimination.iterate(game)
+        trace = elimination.iterate(game)
         sys.stdout.write(json.dumps(trace.to_json_dict()) + "\n")
         return 0
     raise AssertionError(args.what)  # pragma: no cover
@@ -442,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_exact = sub.add_parser("exact", help="closed-form tables")
-    p_exact.add_argument("table", choices=_EXACT_TABLES)
+    p_exact.add_argument("table", choices=tuple(_EXACT_TABLES))
     p_exact.add_argument("--n", required=True, help="n or inclusive range a..b")
     p_exact.add_argument("--m", type=int, default=2)
     _add_common_output(p_exact)

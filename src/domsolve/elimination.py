@@ -1,5 +1,12 @@
 """Pure-strategy strict dominance and iterated elimination.
 
+One scalar reference serves games of any number of players, and a bimatrix
+game is its two-player case (paper, Appendix C). :func:`_dominated` reads a
+player's ``view``, her rank of each own action at each opponent profile,
+and :func:`_eliminate` is the one fixpoint. For a bimatrix the views are
+``row_ranks`` and the transpose of ``col_ranks``, and a player's opponent
+profiles are the other player's alive actions.
+
 The engine deletes simultaneously: in every round each player removes all of
 her currently strictly dominated actions relative to the current surviving
 sets. The number of iterations is the number of rounds in which at least one
@@ -10,8 +17,8 @@ iterations. Final survivors do not depend on deletion order (see
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import gt
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +28,7 @@ from .games import (
     ROW,
     OrdinalBimatrix,
     OrdinalTensorGame,
-    opponent_profile_index,
+    check_action_sets,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -69,30 +76,85 @@ class EliminationTrace:
         }
 
 
-def _dominated_rows(row_ranks: Matrix, rows: Sequence[int], cols: Sequence[int]) -> list[int]:
+def _dominated(view: Matrix, own: Sequence[int], profiles: Sequence[int]) -> list[int]:
+    """Actions of ``own`` strictly dominated within ``own`` at ``profiles``.
+
+    ``view[a][q]`` is the player's rank of her own action ``a`` at opponent
+    profile ``q``; ``a`` is dominated iff some other action ``b`` of ``own``
+    has ``view[b][q] > view[a][q]`` at every profile ``q`` of ``profiles``.
+    """
+    ranks = {a: [view[a][q] for q in profiles] for a in own}
     out = []
-    for a in rows:
-        ra = row_ranks[a]
-        for b in rows:
-            if b == a:
-                continue
-            rb = row_ranks[b]
-            if all(rb[j] > ra[j] for j in cols):
+    for a in own:
+        ra = ranks[a]
+        for b in own:
+            if b != a and all(map(gt, ranks[b], ra)):
                 out.append(a)
                 break
     return out
 
 
-def _dominated_cols(col_ranks: Matrix, rows: Sequence[int], cols: Sequence[int]) -> list[int]:
+def _opponent_profiles(
+    dims: Sequence[int], alive: Sequence[Sequence[int]]
+) -> Sequence[Sequence[int]]:
+    """Per player, the flat indices of the opponent profiles made of alive
+    actions only.
+
+    Profiles enumerate the other players in increasing player order, first
+    player most significant (the order of :class:`OrdinalTensorGame`). With
+    two players the index is the other player's action itself.
+    """
+    if len(dims) == 2:
+        return alive[1], alive[0]
     out = []
-    for a in cols:
-        for b in cols:
-            if b == a:
-                continue
-            if all(col_ranks[i][b] > col_ranks[i][a] for i in rows):
-                out.append(a)
-                break
+    for player in range(len(dims)):
+        profiles = [0]
+        for k, d in enumerate(dims):
+            if k != player:
+                profiles = [p * d + a for p in profiles for a in alive[k]]
+        out.append(profiles)
     return out
+
+
+def _eliminate(views: Sequence[Matrix], dims: Sequence[int], alive: list[list[int]]):
+    """Simultaneous-deletion fixpoint from the initial sets ``alive`` (one
+    sorted list per player, left unmodified).
+
+    Returns (rounds, surviving sets, undominated counts), the undominated
+    counts taken from the first round.
+    """
+    alive = list(alive)
+    rounds: list[tuple[tuple[int, ...], ...]] = []
+    undominated = None
+    while True:
+        removals = list(map(_dominated, views, alive, _opponent_profiles(dims, alive)))
+        if undominated is None:
+            undominated = [len(own) - len(gone) for own, gone in zip(alive, removals)]
+        if not any(removals):
+            return rounds, alive, undominated
+        rounds.append(tuple(map(tuple, removals)))
+        for k, gone in enumerate(removals):
+            if gone:
+                alive[k] = [a for a in alive[k] if a not in gone]
+
+
+def _views(
+    game: OrdinalBimatrix | OrdinalTensorGame,
+) -> tuple[tuple[Matrix, ...], tuple[int, ...]]:
+    """Each player's ``view`` of :func:`_dominated`, and the action counts.
+
+    A bimatrix is the two-player case: Row's view is ``row_ranks`` and
+    Column's is the transpose of ``col_ranks``.
+    """
+    if isinstance(game, OrdinalTensorGame):
+        return tuple(tuple(zip(*r)) for r in game.ranks), game.dims
+    return (game.row_ranks, tuple(zip(*game.col_ranks))), (game.m, game.n)
+
+
+def _solve(game: OrdinalBimatrix | OrdinalTensorGame):
+    """:func:`_eliminate` from every player's full action set."""
+    views, dims = _views(game)
+    return _eliminate(views, dims, [list(range(d)) for d in dims])
 
 
 def _run_elimination(
@@ -101,43 +163,18 @@ def _run_elimination(
     rows: Sequence[int],
     cols: Sequence[int],
 ):
-    """Simultaneous-deletion fixpoint restricted to initial sets ``rows``/``cols``.
+    """Bimatrix fixpoint restricted to initial sets ``rows``/``cols``.
 
     Returns (rounds, surviving_rows, surviving_cols, undominated_row_count,
     undominated_col_count), the U-counts taken from the first round.
+    ``perfbench/tracing.py`` wraps this name here and in :mod:`enumeration`.
     """
-    rows = list(rows)
-    cols = list(cols)
-    rounds: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    u_r = u_c = None
-    while True:
-        dr = _dominated_rows(row_ranks, rows, cols)
-        dc = _dominated_cols(col_ranks, rows, cols)
-        if u_r is None:
-            u_r = len(rows) - len(dr)
-            u_c = len(cols) - len(dc)
-        if not dr and not dc:
-            break
-        rounds.append((tuple(dr), tuple(dc)))
-        if dr:
-            gone = set(dr)
-            rows = [r for r in rows if r not in gone]
-        if dc:
-            gone = set(dc)
-            cols = [c for c in cols if c not in gone]
+    rounds, (rows, cols), (u_r, u_c) = _eliminate(
+        (row_ranks, tuple(zip(*col_ranks))),
+        (len(row_ranks), len(col_ranks[0])),
+        [list(rows), list(cols)],
+    )
     return rounds, rows, cols, u_r, u_c
-
-
-def _check_action_sets(game: OrdinalBimatrix, player: int, own, opp):
-    m, n = game.m, game.n
-    own_size, opp_size = (m, n) if player == ROW else (n, m)
-    own = tuple(range(own_size)) if own is None else tuple(sorted(own))
-    opp = tuple(range(opp_size)) if opp is None else tuple(sorted(opp))
-    if not own or not opp:
-        raise ValueError("action sets must be nonempty")
-    if any(not 0 <= a < own_size for a in own) or any(not 0 <= a < opp_size for a in opp):
-        raise ValueError("action index out of range")
-    return own, opp
 
 
 def strictly_dominates(
@@ -151,10 +188,9 @@ def strictly_dominates(
     action in ``opp`` (defaults to the opponent's full set)."""
     if a == b:
         raise ValueError("an action cannot dominate itself")
-    own, opp = _check_action_sets(game, player, (a, b), opp)
-    if player == ROW:
-        return all(game.row_ranks[a][j] > game.row_ranks[b][j] for j in opp)
-    return all(game.col_ranks[i][a] > game.col_ranks[i][b] for i in opp)
+    _, opp = check_action_sets(game, player, (a, b), opp)
+    view = _views(game)[0][player]
+    return all(view[a][q] > view[b][q] for q in opp)
 
 
 def undominated(
@@ -164,22 +200,17 @@ def undominated(
     opp: Sequence[int] | None = None,
 ) -> tuple[int, ...]:
     """Actions in ``own`` not strictly dominated within ``own`` against ``opp``."""
-    own, opp = _check_action_sets(game, player, own, opp)
-    if player == ROW:
-        dom = set(_dominated_rows(game.row_ranks, own, opp))
-    else:
-        dom = set(_dominated_cols(game.col_ranks, opp, own))
+    own, opp = check_action_sets(game, player, own, opp)
+    dom = set(_dominated(_views(game)[0][player], own, opp))
     return tuple(a for a in own if a not in dom)
 
 
-def iterate(game: OrdinalBimatrix) -> EliminationTrace:
-    """Iterated elimination of strictly dominated actions, both players
+def iterate(game: OrdinalBimatrix | OrdinalTensorGame) -> EliminationTrace:
+    """Iterated elimination of strictly dominated actions, all players
     deleting simultaneously each round."""
-    rounds, rows, cols, _, _ = _run_elimination(
-        game.row_ranks, game.col_ranks, range(game.m), range(game.n)
-    )
+    rounds, alive, _ = _solve(game)
     return EliminationTrace(
-        rounds=tuple(rounds), surviving=(tuple(rows), tuple(cols))
+        rounds=tuple(rounds), surviving=tuple(tuple(a) for a in alive)
     )
 
 
@@ -188,15 +219,18 @@ def iterate_random_order(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Delete one uniformly chosen dominated action at a time until none is
     left; returns the surviving sets. Used to confirm order independence."""
-    rows = list(range(game.m))
-    cols = list(range(game.n))
+    views, dims = _views(game)
+    alive = [list(range(d)) for d in dims]
     while True:
-        cand = [(ROW, a) for a in _dominated_rows(game.row_ranks, rows, cols)]
-        cand += [(COL, a) for a in _dominated_cols(game.col_ranks, rows, cols)]
+        cand = [
+            (k, a)
+            for k in (ROW, COL)
+            for a in _dominated(views[k], alive[k], alive[1 - k])
+        ]
         if not cand:
-            return tuple(rows), tuple(cols)
+            return tuple(alive[ROW]), tuple(alive[COL])
         player, action = cand[int(rng.integers(len(cand)))]
-        (rows if player == ROW else cols).remove(action)
+        alive[player].remove(action)
 
 
 def count_pure_nash(game: OrdinalBimatrix) -> int:
@@ -224,9 +258,7 @@ class GameMetrics:
 
 
 def metrics(game: OrdinalBimatrix) -> GameMetrics:
-    rounds, rows, cols, u_r, u_c = _run_elimination(
-        game.row_ranks, game.col_ranks, range(game.m), range(game.n)
-    )
+    rounds, (rows, cols), (u_r, u_c) = _solve(game)
     return GameMetrics(
         u_r=u_r,
         u_c=u_c,
@@ -239,8 +271,7 @@ def metrics(game: OrdinalBimatrix) -> GameMetrics:
 
 def subgame(game: OrdinalBimatrix, rows: Sequence[int], cols: Sequence[int]) -> OrdinalBimatrix:
     """Restriction of ``game`` to the given actions, with ranks recomputed."""
-    rows = sorted(rows)
-    cols = sorted(cols)
+    rows, cols = check_action_sets(game, ROW, rows, cols)
     rr = np.array(game.row_ranks)[np.ix_(rows, cols)]
     cc = np.array(game.col_ranks)[np.ix_(rows, cols)]
     rr = rr.argsort(axis=0).argsort(axis=0) + 1
@@ -263,77 +294,29 @@ def solvable_subgame(
         raise ValueError("game is not solvable")
     if not 1 <= m_target <= game.m or not 1 <= n_target <= game.n:
         raise ValueError("target size out of range")
-    rows = list(range(game.m))
-    cols = list(range(game.n))
-    while len(rows) > m_target or len(cols) > n_target:
-        rounds, _, _, _, _ = _run_elimination(game.row_ranks, game.col_ranks, rows, cols)
-        if len(rows) > m_target:
-            removed = next(r for rnd in rounds for r in rnd[ROW])
-            rows.remove(removed)
-        if len(cols) > n_target:
-            rounds, _, _, _, _ = _run_elimination(
-                game.row_ranks, game.col_ranks, rows, cols
-            )
-            removed = next(c for rnd in rounds for c in rnd[COL])
-            cols.remove(removed)
-    return tuple(rows), tuple(cols)
-
-
-def _tensor_dominated(
-    ranks: tuple[tuple[int, ...], ...],
-    own: Sequence[int],
-    profiles: Sequence[int],
-) -> list[int]:
-    out = []
-    for a in own:
-        for b in own:
-            if b == a:
-                continue
-            if all(ranks[p][b] > ranks[p][a] for p in profiles):
-                out.append(a)
-                break
-    return out
-
-
-def _alive_profiles(game: OrdinalTensorGame, player: int, alive: list[list[int]]) -> list[int]:
-    others = [k for k in range(game.player_count) if k != player]
-    out = []
-    for combo in itertools.product(*(alive[k] for k in others)):
-        actions = [0] * game.player_count
-        for k, a in zip(others, combo):
-            actions[k] = a
-        out.append(opponent_profile_index(game.dims, player, actions))
-    return out
+    views, dims = _views(game)
+    alive = [list(range(d)) for d in dims]
+    targets = (m_target, n_target)
+    while len(alive[ROW]) > m_target or len(alive[COL]) > n_target:
+        for k in (ROW, COL):
+            if len(alive[k]) > targets[k]:
+                rounds, _, _ = _eliminate(views, dims, alive)
+                alive[k].remove(next(a for rnd in rounds for a in rnd[k]))
+    return tuple(alive[ROW]), tuple(alive[COL])
 
 
 def iterate_nplayer(game: OrdinalTensorGame) -> EliminationTrace:
-    """Simultaneous-deletion iterated elimination for N-player tensor games.
-
-    An action is dominated iff some other currently alive own action beats it
-    at every currently alive opponent profile.
-    """
-    alive: list[list[int]] = [list(range(d)) for d in game.dims]
-    rounds: list[tuple[tuple[int, ...], ...]] = []
-    while True:
-        removals = []
-        for k in range(game.player_count):
-            profiles = _alive_profiles(game, k, alive)
-            removals.append(tuple(_tensor_dominated(game.ranks[k], alive[k], profiles)))
-        if not any(removals):
-            break
-        rounds.append(tuple(removals))
-        for k, rem in enumerate(removals):
-            if rem:
-                gone = set(rem)
-                alive[k] = [a for a in alive[k] if a not in gone]
-    return EliminationTrace(
-        rounds=tuple(rounds), surviving=tuple(tuple(a) for a in alive)
-    )
+    """Simultaneous-deletion iterated elimination for N-player tensor games:
+    :func:`iterate`, under the name the N-player callers use."""
+    return iterate(game)
 
 
 def undominated_nplayer(game: OrdinalTensorGame, player: int) -> tuple[int, ...]:
     """Player's actions undominated in the full game (one round)."""
-    alive = [list(range(d)) for d in game.dims]
-    profiles = _alive_profiles(game, player, alive)
-    dom = set(_tensor_dominated(game.ranks[player], alive[player], profiles))
+    if not 0 <= player < game.player_count:
+        raise ValueError(f"player must lie in 0..{game.player_count - 1}")
+    views, dims = _views(game)
+    alive = [list(range(d)) for d in dims]
+    profiles = _opponent_profiles(dims, alive)[player]
+    dom = set(_dominated(views[player], alive[player], profiles))
     return tuple(a for a in alive[player] if a not in dom)

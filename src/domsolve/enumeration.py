@@ -23,8 +23,8 @@ import numpy as np
 from . import _simkernels as kernels
 from .elimination import _run_elimination
 from .exact import CapacityError
-from .games import ROW, CardinalBimatrix, GameClass, OrdinalBimatrix, ordinalize
-from .rationalizability import point_rationalizable_sets
+from .games import CardinalBimatrix, GameClass, OrdinalBimatrix, check_action_sets, ordinalize
+from .rationalizability import _payoff_view, point_rationalizable_sets
 
 MAX_FULL_2XN = 8
 MAX_UC_3XN = 6
@@ -301,9 +301,8 @@ def grid_mixed_dominance_oracle(
     grid point does, which with a fine grid flags (rather than refutes) a
     borderline LP verdict.
     """
-    payoffs = np.array(game.u_row) if player == ROW else np.array(game.u_col).T
-    own = tuple(range(payoffs.shape[0])) if own is None else tuple(sorted(own))
-    opp = tuple(range(payoffs.shape[1])) if opp is None else tuple(sorted(opp))
+    own, opp = check_action_sets(game, player, own, opp)
+    payoffs = _payoff_view(game, player)
     if action not in own:
         raise ValueError("action must belong to own set")
     others = [k for k in own if k != action]

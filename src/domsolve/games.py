@@ -179,8 +179,7 @@ class OrdinalTensorGame:
     ``ranks[k][p]`` is a permutation of ``1..dims[k]`` giving player ``k``'s
     ranking of her own actions when the other players jointly play the
     opponent profile with flat index ``p``. Profiles enumerate the other
-    players in increasing player order, first player most significant
-    (see :func:`opponent_profile_index`).
+    players in increasing player order, first player most significant.
     """
 
     dims: tuple[int, ...]
@@ -231,19 +230,28 @@ def opponent_profile_count(dims: Sequence[int], player: int) -> int:
     return out
 
 
-def opponent_profile_index(
-    dims: Sequence[int], player: int, actions: Sequence[int]
-) -> int:
-    """Flat index of the other players' actions (lexicographic, first-most-significant)."""
-    idx = 0
-    for k, d in enumerate(dims):
-        if k == player:
-            continue
-        a = actions[k]
-        if not 0 <= a < d:
-            raise ValueError(f"action {a} out of range for player {k}")
-        idx = idx * d + a
-    return idx
+def check_action_sets(
+    game: OrdinalBimatrix | CardinalBimatrix,
+    player: int,
+    own: Iterable[int] | None,
+    opp: Iterable[int] | None,
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``player``'s own and opponent action sets of a bimatrix game, sorted;
+    ``None`` stands for the full set. Raises ValueError on a player other
+    than ROW or COL, an empty set, a repeated action or an index outside
+    ``0..size-1`` (numpy would wrap a negative one)."""
+    if player not in (ROW, COL):
+        raise ValueError(f"player must be {ROW} (row) or {COL} (column)")
+    own_size, opp_size = (game.m, game.n) if player == ROW else (game.n, game.m)
+    own = tuple(range(own_size)) if own is None else tuple(sorted(own))
+    opp = tuple(range(opp_size)) if opp is None else tuple(sorted(opp))
+    if not own or not opp:
+        raise ValueError("action sets must be nonempty")
+    if len(set(own)) < len(own) or len(set(opp)) < len(opp):
+        raise ValueError("action sets must not repeat an action")
+    if any(not 0 <= a < own_size for a in own) or any(not 0 <= a < opp_size for a in opp):
+        raise ValueError("action index out of range")
+    return own, opp
 
 
 def game_from_json_dict(data: dict) -> OrdinalBimatrix | CardinalBimatrix | OrdinalTensorGame:

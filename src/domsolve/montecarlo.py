@@ -183,6 +183,9 @@ def _batch_sizes(samples: int, batch_size: int) -> list[int]:
 
 
 def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
+    """Integer tallies of one batch. The ``sc_*`` and ``uc_*`` keys hold the
+    reported player's survivor and undominated counts: Column's for a
+    bimatrix source, the first player's for an N-player source."""
     rng = spec.seed.generator(index)
     src = spec.source
     if spec.metric == POINT_RAT_UNIQUE:
@@ -192,38 +195,29 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     if src.is_nplayer:
         payoffs = kernels.sample_tensor_payoff_batch(rng, size, src.dims)
         out = kernels.eliminate_tensor_batch(payoffs, src.dims)
-        solvable = out["solvable"]
-        iters = out["iterations"]
-        u0 = out["undominated"][0]
-        s0 = out["survivors"][0]
-        return {
-            "solvable": int(solvable.sum()),
-            "iter_sum": int(iters[solvable].sum()),
-            "iter_sq": int((iters[solvable] ** 2).sum()),
-            "sc_sum": int(s0.sum()),
-            "sc_sq": int((s0.astype(np.int64) ** 2).sum()),
-            "sc_hist": Counter(np.asarray(s0).tolist()),
-            "u_hist": Counter(np.asarray(u0).tolist()),
+        survivors, undominated = out["survivors"][0], out["undominated"][0]
+        extra = {}
+    else:
+        u_row, u_col = kernels.sample_payoff_batch(rng, size, src.m, src.n, src.game_class)
+        out = kernels.eliminate_batch(u_row, u_col)
+        survivors, undominated = out["s_c"], out["u_c"]
+        extra = {
+            "nash_hist": Counter(np.asarray(out["pure_nash"]).tolist()),
+            "sr_less": int((out["s_r"] < src.m).sum()),
         }
-    u_row, u_col = kernels.sample_payoff_batch(rng, size, src.m, src.n, src.game_class)
-    out = kernels.eliminate_batch(u_row, u_col)
     solvable = out["solvable"]
     iters = out["iterations"]
-    s_c = out["s_c"]
-    u_c = out["u_c"]
     return {
         "solvable": int(solvable.sum()),
         "iter_sum": int(iters[solvable].sum()),
         "iter_sq": int((iters[solvable] ** 2).sum()),
-        "sc_sum": int(s_c.sum()),
-        "sc_sq": int((s_c.astype(np.int64) ** 2).sum()),
-        "uc_sum": int(u_c.sum()),
-        "uc_sq": int((u_c.astype(np.int64) ** 2).sum()),
-        "sc_hist": Counter(np.asarray(s_c).tolist()),
-        "uc_hist": Counter(np.asarray(u_c).tolist()),
-        "nash_hist": Counter(np.asarray(out["pure_nash"]).tolist()),
-        "sr_less": int((out["s_r"] < src.m).sum()),
-    }
+        "sc_sum": int(survivors.sum()),
+        "sc_sq": int((survivors.astype(np.int64) ** 2).sum()),
+        "uc_sum": int(undominated.sum()),
+        "uc_sq": int((undominated.astype(np.int64) ** 2).sum()),
+        "sc_hist": Counter(np.asarray(survivors).tolist()),
+        "uc_hist": Counter(np.asarray(undominated).tolist()),
+    } | extra
 
 
 def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.CardinalBimatrix:
@@ -369,17 +363,11 @@ def run(spec: ExperimentSpec, threads: int = 1) -> Estimate | HistogramEstimate:
     if metric == SURVIVOR_MEAN:
         return _mean_estimate(tallies["sc_sum"], tallies["sc_sq"], n, n)
     if metric == UNDOMINATED_MEAN:
-        if spec.source.is_nplayer:
-            hist = tallies["u_hist"]
-            total = sum(k * v for k, v in hist.items())
-            sq = sum(k * k * v for k, v in hist.items())
-            return _mean_estimate(total, sq, n, n)
         return _mean_estimate(tallies["uc_sum"], tallies["uc_sq"], n, n)
     if metric == SURVIVOR_DIST:
         return HistogramEstimate(dict(sorted(tallies["sc_hist"].items())), n)
     if metric == UNDOMINATED_DIST:
-        key = "u_hist" if spec.source.is_nplayer else "uc_hist"
-        return HistogramEstimate(dict(sorted(tallies[key].items())), n)
+        return HistogramEstimate(dict(sorted(tallies["uc_hist"].items())), n)
     if metric == PURE_NASH_DIST:
         return HistogramEstimate(dict(sorted(tallies["nash_hist"].items())), n)
     if metric == RATIONALIZABLE_MEAN:

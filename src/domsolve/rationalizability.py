@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _simkernels as kernels
-from .elimination import iterate
-from .games import COL, ROW, CardinalBimatrix, OrdinalBimatrix, ordinalize
+from .elimination import _dominated, iterate
+from .games import COL, ROW, CardinalBimatrix, OrdinalBimatrix, check_action_sets, ordinalize
 
 _VERIFY_SLACK = 1e-9
 _FALLBACK_VERIFY_SLACK = 1e-6  # HiGHS solves to its own 1e-7 feasibility tolerance
@@ -268,16 +268,12 @@ def is_mixed_dominated(
     opp, sigma a distribution over own minus {action}, as a batch of one
     for :func:`solve_gap_games`.
     """
-    payoffs = _payoff_view(game, player)
-    own_size, opp_size = payoffs.shape
-    own = tuple(range(own_size)) if own is None else tuple(sorted(own))
-    opp = tuple(range(opp_size)) if opp is None else tuple(sorted(opp))
+    own, opp = check_action_sets(game, player, own, opp)
     if action not in own:
         raise ValueError("action must belong to own set")
-    if len(own) < 2 or not opp:
-        raise ValueError("need at least two own actions and a nonempty opponent set")
-    if any(not 0 <= j < opp_size for j in opp):
-        raise ValueError("opponent action out of range")
+    if len(own) < 2:
+        raise ValueError("need at least two own actions")
+    payoffs = _payoff_view(game, player)
     others = [k for k in own if k != action]
     gaps = payoffs[np.ix_(others, opp)] - payoffs[action, list(opp)]
     if tol is None:
@@ -293,14 +289,8 @@ def is_mixed_dominated(
     )
 
 
-def _pure_dominated(payoffs: np.ndarray, action: int, own: list[int], opp: list[int]) -> bool:
-    target = payoffs[action, opp]
-    return any(
-        (payoffs[b, opp] > target).all() for b in own if b != action
-    )
-
-
 def _best_response_actions(payoffs: np.ndarray, own: list[int], opp: list[int]) -> set[int]:
+    """Actions of ``own`` that are a best response to some action of ``opp``."""
     sub = payoffs[np.ix_(own, opp)]
     return {own[i] for i in sub.argmax(axis=0)}
 
@@ -315,34 +305,30 @@ def rationalizable_sets(
     dominated, so those actions skip the LP; purely dominated actions are
     removed without an LP as well.
     """
-    views = {ROW: _payoff_view(game, ROW), COL: _payoff_view(game, COL)}
-    alive = {ROW: list(range(game.m)), COL: list(range(game.n))}
+    views = (_payoff_view(game, ROW), _payoff_view(game, COL))
+    pure_views = [payoffs.tolist() for payoffs in views]
+    alive = [list(range(game.m)), list(range(game.n))]
     rounds = 0
     while True:
-        removals: dict[int, list[int]] = {}
+        removals = []
         for player in (ROW, COL):
-            own = alive[player]
-            opp = alive[COL if player == ROW else ROW]
-            if len(own) < 2:
-                continue
-            payoffs = views[player]
-            safe = _best_response_actions(payoffs, own, opp)
+            own, opp = alive[player], alive[1 - player]
+            # a lone action is a best response, so no LP sees |own| < 2
+            safe = _best_response_actions(views[player], own, opp)
+            pure = set(_dominated(pure_views[player], own, opp))
             removed = []
             for action in own:
                 if action in safe:
                     continue
-                if _pure_dominated(payoffs, action, own, opp):
+                if action in pure or is_mixed_dominated(
+                    game, player, action, tuple(own), tuple(opp), tol
+                ):
                     removed.append(action)
-                elif is_mixed_dominated(game, player, action, tuple(own), tuple(opp), tol):
-                    removed.append(action)
-            if removed:
-                removals[player] = removed
-        if not removals:
+            removals.append(removed)
+        if not any(removals):
             break
         rounds += 1
-        for player, removed in removals.items():
-            gone = set(removed)
-            alive[player] = [a for a in alive[player] if a not in gone]
+        alive = [[a for a in own if a not in gone] for own, gone in zip(alive, removals)]
     ordinal = ordinalize(game)
     return RationalizabilityReport(
         rationalizable=(tuple(alive[ROW]), tuple(alive[COL])),
@@ -438,15 +424,11 @@ def point_rationalizable_sets(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Iterated simultaneous deletion of actions that are not a best response
     to any surviving pure opponent action, until a fixpoint."""
-    row_ranks = np.array(game.row_ranks)
-    col_ranks = np.array(game.col_ranks)
-    rows = list(range(game.m))
-    cols = list(range(game.n))
+    views = (np.array(game.row_ranks), np.array(game.col_ranks).T)
+    alive = [list(range(game.m)), list(range(game.n))]
     while True:
-        row_br = {rows[int(i)] for i in row_ranks[np.ix_(rows, cols)].argmax(axis=0)}
-        col_br = {cols[int(j)] for j in col_ranks[np.ix_(rows, cols)].argmax(axis=1)}
-        new_rows = [r for r in rows if r in row_br]
-        new_cols = [c for c in cols if c in col_br]
-        if len(new_rows) == len(rows) and len(new_cols) == len(cols):
-            return tuple(rows), tuple(cols)
-        rows, cols = new_rows, new_cols
+        best = [_best_response_actions(views[k], alive[k], alive[1 - k]) for k in (ROW, COL)]
+        kept = [[a for a in alive[k] if a in best[k]] for k in (ROW, COL)]
+        if kept == alive:
+            return tuple(alive[ROW]), tuple(alive[COL])
+        alive = kept

@@ -3,13 +3,15 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from domsolve import exact, montecarlo
-from domsolve.cli import _decimal, main
+from domsolve.cli import _EXACT_TABLES, _decimal, main
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +76,109 @@ def test_exact_fractions_beyond_the_int_string_limit(capsys):
     assert code == 0 and len(rows) == 400
     assert max(len(r["value"]) for r in rows) > 640
     assert sum(Fraction(r["value"]) for r in rows) == 1
+
+
+def valued(keys, value, decimal=True):
+    return [*keys, value, _decimal(value)] if decimal else [*keys, value]
+
+
+def iterations_dist_row(n):
+    probs = exact.iteration_distribution_2xn(n)
+    return [n, *probs, *map(_decimal, probs)]
+
+
+def no_dominated_3xn_row(n):
+    lo, hi = exact.no_dominated_column_bounds_3xn(n)
+    return [n, lo, _decimal(lo), hi]
+
+
+# Per table of `domsolve exact`, in the order of its choices: the CSV header
+# and the rows for one (m, n).
+EXACT_TABLES = {
+    "solvability": (
+        ["n", "value", "decimal"],
+        lambda m, n: [valued([n], exact.solvable_probability_2xn(n))],
+    ),
+    "iterations-dist": (
+        ["n", "pr_1_round", "pr_2_rounds", "pr_3_rounds", "decimal_1", "decimal_2", "decimal_3"],
+        lambda m, n: [iterations_dist_row(n)],
+    ),
+    "iterations-mean": (
+        ["n", "value", "decimal"],
+        lambda m, n: [valued([n], exact.mean_iterations_2xn(n))],
+    ),
+    "undominated-dist": (
+        ["n", "k", "value", "decimal"],
+        lambda m, n: [
+            valued([n, k], p) for k, p in enumerate(exact.undominated_distribution_2xn(n), 1)
+        ],
+    ),
+    "survivors-dist": (
+        ["n", "k", "value", "decimal"],
+        lambda m, n: [
+            valued([n, k], p) for k, p in enumerate(exact.survivor_distribution_2xn(n), 1)
+        ],
+    ),
+    "survivors-mean": (
+        ["n", "value", "decimal"],
+        lambda m, n: [valued([n], exact.mean_survivors_2xn(n))],
+    ),
+    "survivors-var": (
+        ["n", "value", "decimal"],
+        lambda m, n: [valued([n], exact.var_survivors_2xn(n))],
+    ),
+    "stirling": (
+        ["n", "k", "value", "decimal"],
+        lambda m, n: [valued([n, k], s) for k, s in enumerate(exact.stirling_row(n), 1)],
+    ),
+    "undominated-mean": (
+        ["m", "n", "value", "decimal"],
+        lambda m, n: [valued([m, n], exact.mean_undominated(m, n))],
+    ),
+    "undominated-bounds": (
+        ["m", "n", "lower", "upper"],
+        lambda m, n: [[m, n, *exact.undominated_mean_bounds(m, n)]],
+    ),
+    "union-lower-bound": (
+        ["m", "n", "value"],
+        lambda m, n: [valued([m, n], exact.undominated_fraction_lower_bound(m, n), False)],
+    ),
+    "blocking-event": (
+        ["m", "j", "value", "decimal"],
+        lambda m, n: [valued([m, n], exact.blocking_event_probability(m, n))],
+    ),
+    "row-elim-bound": (
+        ["m", "n", "value"],
+        lambda m, n: [valued([m, n], exact.row_elimination_probability_bound(m, n), False)],
+    ),
+    "solvability-lower-bound": (
+        ["m", "n", "value", "decimal"],
+        lambda m, n: [valued([m, n], exact.solvable_probability_lower_bound(m, n))],
+    ),
+    "point-rat-unique": (
+        ["m", "n", "value", "decimal"],
+        lambda m, n: [valued([m, n], exact.unique_point_rationalizable_probability(m, n))],
+    ),
+    "no-dominated-3xn": (
+        ["n", "lower", "lower_decimal", "upper"],
+        lambda m, n: [no_dominated_3xn_row(n)],
+    ),
+}
+
+
+def test_exact_tables_are_the_cli_choices():
+    assert list(_EXACT_TABLES) == list(EXACT_TABLES)
+
+
+@pytest.mark.parametrize("table", list(EXACT_TABLES))
+def test_exact_table_matches_exact_functions(capsys, table):
+    header, rows = EXACT_TABLES[table]
+    code, out, _ = run_cli(capsys, "exact", table, "--n", "2..4", "--m", "3")
+    assert code == 0
+    lines = list(csv.reader(io.StringIO(out)))
+    assert lines[0] == header
+    want = [row for n in (2, 3, 4) for row in rows(3, n)]
+    assert lines[1:] == [[repr(v) if isinstance(v, float) else str(v) for v in row] for row in want]
 
 
 def test_enumerate_uc3xn(capsys):
@@ -226,6 +331,19 @@ def test_game_generate_and_trace_round_trip(capsys, tmp_path):
     assert code == 0
     trace = json.loads(out)
     assert "solvable" in trace and "rounds" in trace
+
+
+def test_game_trace_closes_the_game_file(tmp_path):
+    game_path = tmp_path / "g.json"
+    game_path.write_text('{"type": "ordinal", "row_ranks": [[1], [2]], "col_ranks": [[1], [1]]}')
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "domsolve.cli", "game", "trace", "--game", str(game_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert json.loads(done.stdout)["surviving"] == [[1], [0]]
+    assert "ResourceWarning" not in done.stderr
 
 
 def test_game_generate_cardinal_with_alpha(capsys):

@@ -62,6 +62,11 @@ def test_undominated_basics():
     assert undominated(OrdinalBimatrix(((1, 1),), ((1, 2),)), ROW) == (0,)
     with pytest.raises(ValueError):
         undominated(g, ROW, own=())
+    with pytest.raises(ValueError):
+        undominated(g, ROW, own=(0, 0, 1))
+    for player in (-1, 2):
+        with pytest.raises(ValueError):
+            undominated(g, player)
 
 
 def test_undominated_exhaustive_2x3_matches_stirling_row():
@@ -173,6 +178,9 @@ def test_subgame_reranks():
         order_full = sorted((0, 2, 3), key=lambda i: g.row_ranks[i][col])
         order_sub = sorted(range(3), key=lambda i: sub.row_ranks[i][j])
         assert [(0, 2, 3)[i] for i in order_sub] == order_full
+    for rows, cols in (((0, -1), (1, 3)), ((0, 0), (1, 3)), ((0, 2), (4,))):
+        with pytest.raises(ValueError):
+            subgame(g, rows, cols)
 
 
 def test_solvable_subgames_exist_at_every_size():
@@ -216,6 +224,9 @@ def test_undominated_nplayer_matches_flat():
     tg = sample_nplayer((2, 2, 2), Seed(8))
     u = undominated_nplayer(tg, 0)
     assert u and set(u) <= {0, 1}
+    for player in (-1, 3):
+        with pytest.raises(ValueError):
+            undominated_nplayer(tg, player)
 
 
 def test_trace_json_shape():

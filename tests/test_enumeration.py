@@ -223,6 +223,24 @@ def test_grid_oracle_single_alternative():
     assert not grid_mixed_dominance_oracle(g, 0, 1, resolution=1 / 10)
 
 
+@pytest.mark.parametrize(
+    "own, opp",
+    [
+        ((0, -1), None),
+        ((0, 7), None),
+        ((0, 0, 1), None),
+        (None, (-1,)),
+        (None, (0, 2)),
+        (None, (1, 1)),
+        (None, ()),
+    ],
+)
+def test_grid_oracle_rejects_bad_action_sets(own, opp):
+    g = CardinalBimatrix([[4, 0], [0, 4], [1, 1]], [[1, 2], [2, 1], [1.5, 2.5]])
+    with pytest.raises(ValueError):
+        grid_mixed_dominance_oracle(g, 0, 0, own=own, opp=opp)
+
+
 def test_grid_oracle_agrees_with_lp_sample():
     # One-sided agreement on a pinned random sample (the full 10^3-game run
     # lives in the acceptance suite).

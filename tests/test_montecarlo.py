@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +138,15 @@ def test_nplayer_metrics():
     assert abs(est.mean - want) < 3 * est.se
     hist = run(ExperimentSpec(UNDOMINATED_DIST, GameSource(dims=(2, 2, 2)), 50_000, SEED))
     assert abs(hist.freq(1) - 1 / 8) < 3 * hist.se(1) + 1e-9
+
+
+def test_nplayer_undominated_mean_is_the_histogram_mean():
+    spec = ExperimentSpec(UNDOMINATED_MEAN, GameSource(dims=(2, 2, 2)), 50_000, Seed(1313, 0))
+    est = run(spec)
+    hist = run(replace(spec, metric=UNDOMINATED_DIST))
+    assert est.mean == sum(k * count for k, count in hist.counts.items()) / hist.samples
+    # Pr(u0 = 1) = 1/8 and otherwise both actions survive the first round.
+    assert abs(est.mean - 15 / 8) < 3 * est.se
 
 
 def test_nplayer_survivor_metrics():

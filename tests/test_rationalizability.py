@@ -71,6 +71,30 @@ def test_mixed_dominated_preconditions():
         MixedCertificate(support=(0,), weights=(1.0,), margin=0.0)
 
 
+@pytest.mark.parametrize(
+    "own, opp",
+    [
+        ((0, -1), None),
+        ((0, 7), None),
+        ((0, 0, 1), None),
+        (None, (-1,)),
+        (None, (0, 2)),
+        (None, (1, 1)),
+        (None, ()),
+    ],
+)
+def test_mixed_dominated_rejects_bad_action_sets(own, opp):
+    # A negative index would otherwise wrap around in numpy.
+    with pytest.raises(ValueError):
+        is_mixed_dominated(GAP_GAME, ROW, 0, own=own, opp=opp)
+
+
+@pytest.mark.parametrize("player", [-1, 2])
+def test_mixed_dominated_rejects_bad_player(player):
+    with pytest.raises(ValueError):
+        is_mixed_dominated(GAP_GAME, player, 0)
+
+
 def test_pure_dominance_is_found_without_mixing():
     g = CardinalBimatrix([[2, 3], [1, 2]], [[1, 2], [2, 1]])
     cert = is_mixed_dominated(g, ROW, 1)
