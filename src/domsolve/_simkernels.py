@@ -17,7 +17,11 @@ fits a 16-bit word, and otherwise from one sort and a prefix OR. The sets
 are packed into the smallest unsigned word holding K bits, or into
 ceil(K / 64) uint64 words. A round of :func:`_dominated` is then an AND over
 the alive profiles, an AND with the alive own actions, and a nonzero test;
-bimatrix and N-player batches share one round loop (:func:`_eliminate`), and
+bimatrix and N-player batches share one round loop (:func:`_eliminate`).
+Round 1, with every game unfinished and every action alive, reads the
+stored bitsets in place and makes no gathered or masked copy; later rounds
+gather the unfinished games only. Pure-Nash cells are counted apart
+(:func:`pure_nash_counts`), for the one metric that reads them, and
 :func:`batch_bytes` estimates a batch's peak memory for the capacity guard
 of :mod:`domsolve.montecarlo`.
 
@@ -29,6 +33,7 @@ negligible and intentionally not resampled.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -96,14 +101,16 @@ def _word_layout(k: int) -> tuple[np.dtype, int]:
     return np.dtype(np.uint64), -(-k // 64)
 
 
+@functools.lru_cache(maxsize=64)
 def _one_hot_words(k: int) -> np.ndarray:
     """(k, W) words whose row y is the set {y}: bit y % b of word y // b,
-    for words of b bits."""
+    for words of b bits; built once per k and returned read-only."""
     dtype, words = _word_layout(k)
     bits = 8 * dtype.itemsize
     y = np.arange(k)
     table = np.zeros((k, words), dtype=dtype)
     table[y, y // bits] = np.left_shift(np.uint64(1), (y % bits).astype(np.uint64))
+    table.flags.writeable = False
     return table
 
 
@@ -117,6 +124,8 @@ def batch_bytes(batch: int, dims: Sequence[int]) -> int:
     sort indices of :func:`outrank_bits` (tracemalloc peaks of the batch
     worker stay 1.3-3.5x below it), plus four copies of the player's bitset
     words: stored, gathered for the unfinished games, masked, and halved.
+    Round 1 makes no gathered or masked copy, and later rounds make them for
+    the unfinished games only, so the count stays an upper bound.
     """
     cells = batch * math.prod(dims)
     total = 0
@@ -192,7 +201,11 @@ def _dominated(
     # AND over the alive p (dead ones count as all ones) by pairwise halving:
     # each step is one elementwise op over whole rows, where
     # np.bitwise_and.reduce over axis 1 crawls on blocks of a few bytes.
-    acc = np.where(alive_opp[:, :, None, None], beaten, np.iinfo(beaten.dtype).max)
+    # Every step writes only into its own result, never into ``beaten``.
+    if alive_opp.all():
+        acc = beaten
+    else:
+        acc = np.where(alive_opp[:, :, None, None], beaten, np.iinfo(beaten.dtype).max)
     while acc.shape[1] > 1:
         half = acc.shape[1] // 2
         folded = acc[:, :half] & acc[:, half : 2 * half]
@@ -221,7 +234,8 @@ def _eliminate(
 
     ``stacks[k]`` (B, P_k, m_k) orders player k's actions against each
     opponent profile (payoffs or ranks; any strides). The bitsets are built
-    once; each round only the unfinished games (``idx``) are decided.
+    once; each round only the unfinished games (``idx``) are decided, read
+    in place while they are the whole batch and gathered once some finish.
     Returns the surviving masks, the first-round undominated counts and the
     per-game round counts.
     """
@@ -232,10 +246,11 @@ def _eliminate(
     undominated = None
     idx = np.arange(batch)
     while idx.size:
-        live = [a[idx] for a in alive]
-        # A word plane of the gathered bitsets stands in for the stack, so
-        # no float stack is gathered per round.
-        bits = [b[idx] for b in beaten]
+        whole = idx.size == batch
+        live = alive if whole else [a[idx] for a in alive]
+        # A word plane of the bitsets stands in for the stack, so no float
+        # stack is gathered per round.
+        bits = beaten if whole else [b[idx] for b in beaten]
         doms = [
             _dominated(w[..., 0], live[k], _profiles_alive(live, k), w)
             for k, w in enumerate(bits)
@@ -255,7 +270,7 @@ def eliminate_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict[str, np.ndarra
     payoffs or ranks (only their order along each player's own axis counts).
 
     Returns undominated counts (first round), surviving counts, iteration
-    counts, solvability flags, and pure-Nash cell counts.
+    counts and solvability flags.
     """
     (alive_r, alive_c), (u_r, u_c), rounds = _eliminate([u_row.transpose(0, 2, 1), u_col])
     s_r = alive_r.sum(axis=1)
@@ -267,10 +282,15 @@ def eliminate_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict[str, np.ndarra
         "s_c": s_c,
         "iterations": rounds,
         "solvable": (s_r == 1) & (s_c == 1),
-        "pure_nash": (
-            (u_row == u_row.max(axis=1, keepdims=True)) & (u_col == u_col.max(axis=2, keepdims=True))
-        ).sum(axis=(1, 2)),
     }
+
+
+def pure_nash_counts(u_row: np.ndarray, u_col: np.ndarray) -> np.ndarray:
+    """Pure-Nash cell counts of a batch of (B, m, n) payoffs or ranks: the
+    cells where each player's action is a best response to the other's."""
+    return (
+        (u_row == u_row.max(axis=1, keepdims=True)) & (u_col == u_col.max(axis=2, keepdims=True))
+    ).sum(axis=(1, 2))
 
 
 def point_rationalizable_counts(
@@ -284,16 +304,13 @@ def point_rationalizable_counts(
     actions_r = np.arange(m)
     actions_c = np.arange(n)
     idx = np.arange(batch)
-    while idx.size:
-        rr = u_row[idx]
-        cc = u_col[idx]
-        ar = alive_r[idx]
-        ac = alive_c[idx]
-        # Best response rows per column, among alive rows (dead rows count
-        # as -inf, below every input).
-        br_r = np.where(ar[:, :, None], rr, -np.inf).argmax(axis=1)  # (b, n)
+    # Round 1: every action is alive, so the best responses are read off
+    # the inputs themselves.
+    ar, ac = alive_r, alive_c
+    br_r = u_row.argmax(axis=1)  # best response row per column, (b, n)
+    br_c = u_col.argmax(axis=2)  # best response column per row, (b, m)
+    while True:
         keep_r = ((br_r[:, None, :] == actions_r[None, :, None]) & ac[:, None, :]).any(axis=2)
-        br_c = np.where(ac[:, None, :], cc, -np.inf).argmax(axis=2)  # (b, m)
         keep_c = ((br_c[:, :, None] == actions_c[None, None, :]) & ar[:, :, None]).any(axis=1)
         keep_r &= ar
         keep_c &= ac
@@ -301,7 +318,14 @@ def point_rationalizable_counts(
         alive_r[idx] = keep_r
         alive_c[idx] = keep_c
         idx = idx[changed]
-    return alive_r.sum(axis=1), alive_c.sum(axis=1)
+        if not idx.size:
+            return alive_r.sum(axis=1), alive_c.sum(axis=1)
+        ar = alive_r[idx]
+        ac = alive_c[idx]
+        # Among the alive actions only (dead ones count as -inf, below
+        # every input).
+        br_r = np.where(ar[:, :, None], u_row[idx], -np.inf).argmax(axis=1)
+        br_c = np.where(ac[:, None, :], u_col[idx], -np.inf).argmax(axis=2)
 
 
 def records_law(n: int) -> np.ndarray:

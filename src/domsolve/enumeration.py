@@ -23,7 +23,7 @@ import numpy as np
 from . import _simkernels as kernels
 from .elimination import _run_elimination
 from .exact import CapacityError
-from .games import CardinalBimatrix, GameClass, OrdinalBimatrix, check_action_sets, ordinalize
+from .games import CardinalBimatrix, GameClass, OrdinalBimatrix, _action_index, check_action_sets, ordinalize
 from .rationalizability import _payoff_view, point_rationalizable_sets
 
 MAX_FULL_2XN = 8
@@ -303,7 +303,7 @@ def grid_mixed_dominance_oracle(
     """
     own, opp = check_action_sets(game, player, own, opp)
     payoffs = _payoff_view(game, player)
-    if action not in own:
+    if _action_index(action) not in own:
         raise ValueError("action must belong to own set")
     others = [k for k in own if k != action]
     if len(others) > 3:

@@ -15,6 +15,7 @@ are 0-based throughout.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -230,6 +231,14 @@ def opponent_profile_count(dims: Sequence[int], player: int) -> int:
     return out
 
 
+def _action_index(a) -> int:
+    """``a`` as a Python int, for Python and numpy integers only."""
+    try:
+        return operator.index(a)
+    except TypeError:
+        raise ValueError(f"action index must be an integer, not {a!r}") from None
+
+
 def check_action_sets(
     game: OrdinalBimatrix | CardinalBimatrix,
     player: int,
@@ -238,13 +247,14 @@ def check_action_sets(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """``player``'s own and opponent action sets of a bimatrix game, sorted;
     ``None`` stands for the full set. Raises ValueError on a player other
-    than ROW or COL, an empty set, a repeated action or an index outside
-    ``0..size-1`` (numpy would wrap a negative one)."""
+    than ROW or COL, an empty set, a repeated action, an index that is not
+    an integer, or one outside ``0..size-1`` (numpy would wrap a negative
+    one)."""
     if player not in (ROW, COL):
         raise ValueError(f"player must be {ROW} (row) or {COL} (column)")
     own_size, opp_size = (game.m, game.n) if player == ROW else (game.n, game.m)
-    own = tuple(range(own_size)) if own is None else tuple(sorted(own))
-    opp = tuple(range(opp_size)) if opp is None else tuple(sorted(opp))
+    own = tuple(range(own_size)) if own is None else tuple(sorted(map(_action_index, own)))
+    opp = tuple(range(opp_size)) if opp is None else tuple(sorted(map(_action_index, opp)))
     if not own or not opp:
         raise ValueError("action sets must be nonempty")
     if len(set(own)) < len(own) or len(set(opp)) < len(opp):

@@ -55,7 +55,8 @@ METRICS = (
     POINT_RAT_UNIQUE,
 )
 _MIXED_METRICS = (MIXED_PI, MIXED_COND_ITERATIONS, RATIONALIZABLE_MEAN)
-_HISTOGRAM_METRICS = (SURVIVOR_DIST, UNDOMINATED_DIST, PURE_NASH_DIST)
+# The tally key of the one histogram each histogram metric reads.
+_HISTOGRAM_KEYS = {SURVIVOR_DIST: "sc_hist", UNDOMINATED_DIST: "uc_hist", PURE_NASH_DIST: "nash_hist"}
 
 # An experiment whose batch would need more than this (estimated before
 # anything is allocated) raises CapacityError; about one batch per thread is
@@ -185,7 +186,14 @@ def _batch_sizes(samples: int, batch_size: int) -> list[int]:
 def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     """Integer tallies of one batch. The ``sc_*`` and ``uc_*`` keys hold the
     reported player's survivor and undominated counts: Column's for a
-    bimatrix source, the first player's for an N-player source."""
+    bimatrix source, the first player's for an N-player source.
+
+    Every metric gets the integer sums (``solvable``, ``iter_*``, ``sc_*``,
+    ``uc_*``, and for a bimatrix ``sr_less``, the games where some row is
+    eliminated). A histogram metric also gets its one ``Counter``:
+    survivor-dist ``sc_hist``, undominated-dist ``uc_hist``, and
+    pure-nash-dist ``nash_hist``, the only metric that counts pure-Nash
+    cells. point-rat-unique gets ``unique`` alone."""
     rng = spec.seed.generator(index)
     src = spec.source
     if spec.metric == POINT_RAT_UNIQUE:
@@ -196,18 +204,15 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
         payoffs = kernels.sample_tensor_payoff_batch(rng, size, src.dims)
         out = kernels.eliminate_tensor_batch(payoffs, src.dims)
         survivors, undominated = out["survivors"][0], out["undominated"][0]
-        extra = {}
+        tallies = {}
     else:
         u_row, u_col = kernels.sample_payoff_batch(rng, size, src.m, src.n, src.game_class)
         out = kernels.eliminate_batch(u_row, u_col)
         survivors, undominated = out["s_c"], out["u_c"]
-        extra = {
-            "nash_hist": Counter(np.asarray(out["pure_nash"]).tolist()),
-            "sr_less": int((out["s_r"] < src.m).sum()),
-        }
+        tallies = {"sr_less": int((out["s_r"] < src.m).sum())}
     solvable = out["solvable"]
     iters = out["iterations"]
-    return {
+    tallies |= {
         "solvable": int(solvable.sum()),
         "iter_sum": int(iters[solvable].sum()),
         "iter_sq": int((iters[solvable] ** 2).sum()),
@@ -215,9 +220,14 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
         "sc_sq": int((survivors.astype(np.int64) ** 2).sum()),
         "uc_sum": int(undominated.sum()),
         "uc_sq": int((undominated.astype(np.int64) ** 2).sum()),
-        "sc_hist": Counter(np.asarray(survivors).tolist()),
-        "uc_hist": Counter(np.asarray(undominated).tolist()),
-    } | extra
+    }
+    per_game = {"sc_hist": survivors, "uc_hist": undominated}
+    if spec.metric == PURE_NASH_DIST:
+        per_game["nash_hist"] = kernels.pure_nash_counts(u_row, u_col)
+    key = _HISTOGRAM_KEYS.get(spec.metric)
+    if key is not None:
+        tallies[key] = Counter(per_game[key].tolist())
+    return tallies
 
 
 def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.CardinalBimatrix:
@@ -364,12 +374,8 @@ def run(spec: ExperimentSpec, threads: int = 1) -> Estimate | HistogramEstimate:
         return _mean_estimate(tallies["sc_sum"], tallies["sc_sq"], n, n)
     if metric == UNDOMINATED_MEAN:
         return _mean_estimate(tallies["uc_sum"], tallies["uc_sq"], n, n)
-    if metric == SURVIVOR_DIST:
-        return HistogramEstimate(dict(sorted(tallies["sc_hist"].items())), n)
-    if metric == UNDOMINATED_DIST:
-        return HistogramEstimate(dict(sorted(tallies["uc_hist"].items())), n)
-    if metric == PURE_NASH_DIST:
-        return HistogramEstimate(dict(sorted(tallies["nash_hist"].items())), n)
+    if metric in _HISTOGRAM_KEYS:
+        return HistogramEstimate(dict(sorted(tallies[_HISTOGRAM_KEYS[metric]].items())), n)
     if metric == RATIONALIZABLE_MEAN:
         return _mean_estimate(tallies["rat_cols_sum"], tallies["rat_cols_sq"], n, n)
     if metric == POINT_RAT_UNIQUE:
@@ -396,7 +402,7 @@ def sweep(
     threads: int = 1,
 ) -> list[SweepRow]:
     """One estimate per grid point; each point gets its own sub-stream."""
-    if metric in _HISTOGRAM_METRICS:
+    if metric in _HISTOGRAM_KEYS:
         raise ValueError("sweep supports scalar metrics only")
     rows = []
     for offset, source in enumerate(sources):

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import _simkernels as kernels
 from .elimination import _dominated, iterate
-from .games import COL, ROW, CardinalBimatrix, OrdinalBimatrix, check_action_sets, ordinalize
+from .games import COL, ROW, CardinalBimatrix, OrdinalBimatrix, _action_index, check_action_sets, ordinalize
 
 _VERIFY_SLACK = 1e-9
 _FALLBACK_VERIFY_SLACK = 1e-6  # HiGHS solves to its own 1e-7 feasibility tolerance
@@ -269,7 +269,7 @@ def is_mixed_dominated(
     for :func:`solve_gap_games`.
     """
     own, opp = check_action_sets(game, player, own, opp)
-    if action not in own:
+    if _action_index(action) not in own:
         raise ValueError("action must belong to own set")
     if len(own) < 2:
         raise ValueError("need at least two own actions")

@@ -64,6 +64,9 @@ def test_undominated_basics():
         undominated(g, ROW, own=())
     with pytest.raises(ValueError):
         undominated(g, ROW, own=(0, 0, 1))
+    with pytest.raises(ValueError):
+        undominated(g, ROW, own=(0, 1.0))
+    assert undominated(g, ROW, own=np.arange(2), opp=[np.int16(2)]) == (0,)
     for player in (-1, 2):
         with pytest.raises(ValueError):
             undominated(g, player)
@@ -247,6 +250,7 @@ def test_batched_engine_matches_scalar_engine():
             rng, 300, m, n, GameClass.BASELINE
         )
         out = kernels.eliminate_batch(rr, cc)
+        nash = kernels.pure_nash_counts(rr, cc)
         for k in range(300):
             g = OrdinalBimatrix(rr[k].tolist(), cc[k].tolist())
             got = metrics(g)
@@ -254,7 +258,7 @@ def test_batched_engine_matches_scalar_engine():
             assert out["s_r"][k] == got.s_r and out["s_c"][k] == got.s_c
             assert out["iterations"][k] == got.iterations
             assert bool(out["solvable"][k]) == got.solvable
-            assert out["pure_nash"][k] == count_pure_nash(g)
+            assert nash[k] == count_pure_nash(g)
 
 
 def test_batched_tensor_engine_matches_scalar():

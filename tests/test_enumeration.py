@@ -213,6 +213,9 @@ def test_simplex_grid_is_cached_and_read_only(parts, steps):
 def test_grid_oracle_constructed_instances():
     g = CardinalBimatrix([[4, 0], [0, 4], [1, 1]], [[1, 2], [2, 1], [1.5, 2.5]])
     assert grid_mixed_dominance_oracle(g, 0, 2, resolution=1 / 2)
+    assert grid_mixed_dominance_oracle(g, 0, np.int64(2), resolution=1 / 2)
+    with pytest.raises(ValueError):
+        grid_mixed_dominance_oracle(g, 0, 2.0)
     g2 = CardinalBimatrix([[4, 0], [0, 4], [3, 3]], [[1, 2], [2, 1], [1.5, 2.5]])
     assert not grid_mixed_dominance_oracle(g2, 0, 2, resolution=1 / 500)
 
@@ -233,6 +236,8 @@ def test_grid_oracle_single_alternative():
         (None, (0, 2)),
         (None, (1, 1)),
         (None, ()),
+        ((0, 1.0), None),
+        (None, (np.float64(0.0),)),
     ],
 )
 def test_grid_oracle_rejects_bad_action_sets(own, opp):

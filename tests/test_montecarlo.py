@@ -26,6 +26,7 @@ from domsolve.montecarlo import (
     UNDOMINATED_DIST,
     UNDOMINATED_MEAN,
     BoundCheckRow,
+    Estimate,
     ExperimentSpec,
     GameSource,
     HistogramEstimate,
@@ -405,6 +406,42 @@ def test_batch_size_is_part_of_the_stream():
     a = run(ExperimentSpec(PI, GameSource(m=2, n=4), 10_000, SEED, batch_size=1000))
     b = run(ExperimentSpec(PI, GameSource(m=2, n=4), 10_000, SEED, batch_size=1000))
     assert a == b
+
+
+PINNED = Seed(1414, 3)
+BIMATRIX_3X4 = GameSource(m=3, n=4)
+BIMATRIX_2X5 = GameSource(m=2, n=5)
+THREE_PLAYER = GameSource(dims=(2, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "metric, source, want",
+    [
+        (PI, BIMATRIX_3X4, Estimate(0.328, 0.006061023015960259, 6000, 1968)),
+        (COND_ITERATIONS, BIMATRIX_3X4, Estimate(3.006605691056911, 0.01945321364385296, 6000, 1968)),
+        (SURVIVOR_DIST, BIMATRIX_3X4, HistogramEstimate({1: 1968, 2: 1175, 3: 1725, 4: 1132}, 6000)),
+        (SURVIVOR_MEAN, BIMATRIX_3X4, Estimate(2.3368333333333333, 0.014473651110429881, 6000, 6000)),
+        (UNDOMINATED_MEAN, BIMATRIX_3X4, Estimate(2.888333333333333, 0.01099988550220676, 6000, 6000)),
+        (UNDOMINATED_DIST, BIMATRIX_3X4, HistogramEstimate({1: 339, 2: 1533, 3: 2587, 4: 1541}, 6000)),
+        (PURE_NASH_DIST, BIMATRIX_3X4, HistogramEstimate({0: 1401, 1: 3266, 2: 1246, 3: 87}, 6000)),
+        (POINT_RAT_UNIQUE, BIMATRIX_3X4, Estimate(0.5021666666666667, 0.006454911638377341, 6000, 3013)),
+        (SURVIVOR_DIST, BIMATRIX_2X5, HistogramEstimate({1: 2964, 2: 1284, 3: 1287, 4: 420, 5: 45}, 6000)),
+        (UNDOMINATED_DIST, BIMATRIX_2X5, HistogramEstimate({1: 1148, 2: 2578, 3: 1739, 4: 484, 5: 51}, 6000)),
+        (PURE_NASH_DIST, BIMATRIX_2X5, HistogramEstimate({0: 1229, 1: 3559, 2: 1212}, 6000)),
+        (PI, THREE_PLAYER, Estimate(0.24566666666666667, 0.005557495772311415, 6000, 1474)),
+        (SURVIVOR_MEAN, THREE_PLAYER, Estimate(1.7261666666666666, 0.005757340037627294, 6000, 6000)),
+        (UNDOMINATED_DIST, THREE_PLAYER, HistogramEstimate({1: 751, 2: 5249}, 6000)),
+    ],
+)
+def test_pure_metrics_at_a_fixed_seed(metric, source, want):
+    # The batch worker builds only the tallies its metric reads; no pruning
+    # of them may change a result.
+    assert run(ExperimentSpec(metric, source, 6000, PINNED, batch_size=1000)) == want
+
+
+def test_bound_checks_at_a_fixed_seed():
+    (row,) = bound_checks([(3, 6)], 6000, PINNED)
+    assert (row.pi_hat, row.sr_less_hat) == (1205 / 6000, 2351 / 6000)
 
 
 def test_sweep_rows_and_monotone_pi():

@@ -66,6 +66,8 @@ def test_mixed_dominated_preconditions():
     with pytest.raises(ValueError):
         is_mixed_dominated(GAP_GAME, ROW, 0, own=(1, 2))
     with pytest.raises(ValueError):
+        is_mixed_dominated(GAP_GAME, ROW, 2.0)
+    with pytest.raises(ValueError):
         MixedCertificate(support=(0,), weights=(0.5,), margin=1.0)
     with pytest.raises(ValueError):
         MixedCertificate(support=(0,), weights=(1.0,), margin=0.0)
@@ -81,6 +83,8 @@ def test_mixed_dominated_preconditions():
         (None, (0, 2)),
         (None, (1, 1)),
         (None, ()),
+        ((0, 1.0), None),
+        (None, (np.float64(0.0),)),
     ],
 )
 def test_mixed_dominated_rejects_bad_action_sets(own, opp):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from domsolve import _simkernels as kernels
-from domsolve import exact, montecarlo
+from domsolve import exact, montecarlo, rationalizability
 from domsolve.elimination import count_pure_nash, iterate_nplayer, metrics, undominated_nplayer
 from domsolve.games import GameClass, OrdinalBimatrix, OrdinalTensorGame, Seed, rank_along
 from domsolve.montecarlo import MIXED_PI, PI, ExperimentSpec, GameSource
@@ -46,6 +46,38 @@ def test_dominated_matches_brute_force_with_ties():
         for stack in (values, values.astype(np.int16), values.astype(float)):
             beaten = kernels.outrank_bits(stack)
             assert np.array_equal(kernels._dominated(stack, alive_own, alive_opp, beaten), want)
+
+
+def test_kernels_run_on_read_only_bitsets(monkeypatch):
+    # The round loops read the bitsets in place while every game is
+    # unfinished: no kernel may write into them.
+    rng = np.random.default_rng(1414)
+    u_row, u_col = kernels.sample_payoff_batch(rng, 48, 3, 4, GameClass.BASELINE)
+    u_row[:, 1] = u_row[:, 0]  # a row that ties, so some games take rounds
+    alive_own, alive_opp = random_masks(rng, 48, 3, 4)
+
+    def outputs():
+        alive, undominated, rounds = kernels._eliminate([u_row.transpose(0, 2, 1), u_col])
+        beaten = kernels.outrank_bits(u_col)
+        dominated = [
+            kernels._dominated(u_col, alive_own, opp, beaten) for opp in (alive_opp, np.ones_like(alive_opp))
+        ]
+        mixed = rationalizability.rationalizable_batch(u_row, u_col)
+        return [*alive, *undominated, rounds, *dominated, *mixed["rationalizable"], mixed["iterations"]]
+
+    want = outputs()
+    build = kernels.outrank_bits
+
+    def read_only(values):
+        bits = build(values)
+        bits.flags.writeable = False
+        return bits
+
+    monkeypatch.setattr(kernels, "outrank_bits", read_only)
+    got = outputs()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 WORDS = {
@@ -90,13 +122,14 @@ def test_word_boundaries(k):
 
 def _bimatrix_matches(rr, cc):
     out = kernels.eliminate_batch(rr, cc)
+    nash = kernels.pure_nash_counts(rr, cc)
     for g in range(rr.shape[0]):
         game = OrdinalBimatrix(rr[g].tolist(), cc[g].tolist())
         want = metrics(game)
         got = {key: int(out[key][g]) for key in ("u_r", "u_c", "s_r", "s_c", "iterations")}
         assert got == {key: getattr(want, key) for key in got}
         assert bool(out["solvable"][g]) == want.solvable
-        assert out["pure_nash"][g] == count_pure_nash(game)
+        assert nash[g] == count_pure_nash(game)
 
 
 def _tensor_matches(ranks, dims):
@@ -175,6 +208,7 @@ def test_kernels_agree_on_payoffs_and_ranks(game_class):
         rr, cc = kernels.sample_rank_batch(np.random.default_rng(m * n), 64, m, n, game_class)
         assert np.array_equal(rank_along(u_row, 1), rr) and np.array_equal(rank_along(u_col, 2), cc)
         _same_outputs(kernels.eliminate_batch(u_row, u_col), kernels.eliminate_batch(rr, cc))
+        _same_outputs(kernels.pure_nash_counts(u_row, u_col), kernels.pure_nash_counts(rr, cc))
         _same_outputs(
             kernels.point_rationalizable_counts(u_row, u_col),
             kernels.point_rationalizable_counts(rr, cc),
