@@ -16,11 +16,14 @@ each action at each profile, once per batch: by K comparisons when the set
 fits a 16-bit word, and otherwise from one sort and a prefix OR. The sets
 are packed into the smallest unsigned word holding K bits, or into
 ceil(K / 64) uint64 words. A round of :func:`_dominated` is then an AND over
-the alive profiles, an AND with the alive own actions, and a nonzero test;
-bimatrix and N-player batches share one round loop (:func:`_eliminate`).
-Round 1, with every game unfinished and every action alive, reads the
-stored bitsets in place and makes no gathered or masked copy; later rounds
-gather the unfinished games only. Pure-Nash cells are counted apart
+the alive profiles, an AND with the alive own actions, and a nonzero test.
+One loop, :func:`_fixpoint`, runs every batch elimination, and its rule
+decides what a round deletes: pure dominance (:func:`_eliminate`, bimatrix
+and N-player alike), never-best-response deletion
+(:func:`point_rationalizable_counts`) or mixed dominance
+(:func:`domsolve.rationalizability.rationalizable_batch`). While every game
+is unfinished a rule reads its arrays in place; later rounds gather the
+unfinished games only. Pure-Nash cells are counted apart
 (:func:`pure_nash_counts`), for the one metric that reads them, and
 :func:`batch_bytes` estimates a batch's peak memory for the capacity guard
 of :mod:`domsolve.montecarlo`.
@@ -227,42 +230,57 @@ def _profiles_alive(alive: list[np.ndarray], player: int) -> np.ndarray:
     return out
 
 
-def _eliminate(
-    stacks: list[np.ndarray],
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Simultaneous-deletion elimination over a batch of N-player games.
+def _fixpoint(batch: int, sizes: Sequence[int], removed) -> tuple[list[np.ndarray], np.ndarray]:
+    """Simultaneous-deletion fixpoint over a batch of games whose players
+    have ``sizes`` actions, all alive at first.
+
+    ``removed(sel, live)`` returns each player's (B', m_k) mask of the
+    actions a round deletes in the games ``sel``, whose alive masks are
+    ``live``. ``sel`` is ``slice(None)`` while every game is unfinished, so
+    a rule reads its arrays in place, and the unfinished games' indices
+    after. Returns the surviving masks and each game's count of rounds that
+    deleted something.
+    """
+    alive = [np.ones((batch, k), dtype=bool) for k in sizes]
+    rounds = np.zeros(batch, dtype=np.int64)
+    idx = np.arange(batch)
+    while idx.size:
+        sel = slice(None) if idx.size == batch else idx
+        live = [a[sel] for a in alive]
+        gone = removed(sel, live)
+        progressed = np.logical_or.reduce([g.any(axis=1) for g in gone])
+        rounds[sel] += progressed
+        for a, now, g in zip(alive, live, gone):
+            a[sel] = now & ~g
+        idx = idx[progressed]
+    return alive, rounds
+
+
+def _eliminate(stacks: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+    """Iterated strict dominance over a batch of N-player games: the
+    :func:`_fixpoint` of the pure-dominance rule.
 
     ``stacks[k]`` (B, P_k, m_k) orders player k's actions against each
     opponent profile (payoffs or ranks; any strides). The bitsets are built
-    once; each round only the unfinished games (``idx``) are decided, read
-    in place while they are the whole batch and gathered once some finish.
-    Returns the surviving masks, the first-round undominated counts and the
-    per-game round counts.
+    once per batch. Returns the surviving masks, the first-round undominated
+    counts and the per-game round counts.
     """
-    batch = stacks[0].shape[0]
     beaten = [outrank_bits(s) for s in stacks]
-    alive = [np.ones((batch, s.shape[2]), dtype=bool) for s in stacks]
-    rounds = np.zeros(batch, dtype=np.int64)
-    undominated = None
-    idx = np.arange(batch)
-    while idx.size:
-        whole = idx.size == batch
-        live = alive if whole else [a[idx] for a in alive]
+    first = []
+
+    def removed(sel, live):
         # A word plane of the bitsets stands in for the stack, so no float
         # stack is gathered per round.
-        bits = beaten if whole else [b[idx] for b in beaten]
         doms = [
             _dominated(w[..., 0], live[k], _profiles_alive(live, k), w)
-            for k, w in enumerate(bits)
+            for k, w in enumerate(b[sel] for b in beaten)
         ]
-        if undominated is None:
-            undominated = [d.shape[1] - d.sum(axis=1) for d in doms]
-        progressed = np.logical_or.reduce([d.any(axis=1) for d in doms])
-        rounds[idx] += progressed
-        for a, now, dom in zip(alive, live, doms):
-            a[idx] = now & ~dom
-        idx = idx[progressed]
-    return alive, undominated, rounds
+        if not first:
+            first.extend(d.shape[1] - d.sum(axis=1) for d in doms)
+        return doms
+
+    alive, rounds = _fixpoint(stacks[0].shape[0], [s.shape[2] for s in stacks], removed)
+    return alive, first, rounds
 
 
 def eliminate_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict[str, np.ndarray]:
@@ -293,39 +311,36 @@ def pure_nash_counts(u_row: np.ndarray, u_col: np.ndarray) -> np.ndarray:
     ).sum(axis=(1, 2))
 
 
+def never_best_responses(stack: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
+    """(B, K) mask of the alive own actions (``own``) that are a best
+    response to no alive opponent action (``opp``, (B, P)). ``stack``
+    (B, K, P) orders own action k against opponent action p; among tied
+    best responses the lowest action counts."""
+    batch, k, _ = stack.shape
+    if not own.all():
+        # dead actions count as -inf, below every input
+        stack = np.where(own[:, :, None], stack, -np.inf)
+    # Each alive p marks its best response, each dead one the spare slot k:
+    # a scatter beats any .any() over a (B, K, P) comparison.
+    best = np.where(opp, stack.argmax(axis=1), k)
+    hit = np.zeros((batch, k + 1), dtype=bool)
+    hit[np.arange(batch)[:, None], best] = True
+    return own & ~hit[:, :k]
+
+
 def point_rationalizable_counts(
     u_row: np.ndarray, u_col: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Surviving set sizes of iterated never-best-response deletion, from
-    (B, m, n) payoffs or ranks."""
-    batch, m, n = u_row.shape
-    alive_r = np.ones((batch, m), dtype=bool)
-    alive_c = np.ones((batch, n), dtype=bool)
-    actions_r = np.arange(m)
-    actions_c = np.arange(n)
-    idx = np.arange(batch)
-    # Round 1: every action is alive, so the best responses are read off
-    # the inputs themselves.
-    ar, ac = alive_r, alive_c
-    br_r = u_row.argmax(axis=1)  # best response row per column, (b, n)
-    br_c = u_col.argmax(axis=2)  # best response column per row, (b, m)
-    while True:
-        keep_r = ((br_r[:, None, :] == actions_r[None, :, None]) & ac[:, None, :]).any(axis=2)
-        keep_c = ((br_c[:, :, None] == actions_c[None, None, :]) & ar[:, :, None]).any(axis=1)
-        keep_r &= ar
-        keep_c &= ac
-        changed = (keep_r != ar).any(axis=1) | (keep_c != ac).any(axis=1)
-        alive_r[idx] = keep_r
-        alive_c[idx] = keep_c
-        idx = idx[changed]
-        if not idx.size:
-            return alive_r.sum(axis=1), alive_c.sum(axis=1)
-        ar = alive_r[idx]
-        ac = alive_c[idx]
-        # Among the alive actions only (dead ones count as -inf, below
-        # every input).
-        br_r = np.where(ar[:, :, None], u_row[idx], -np.inf).argmax(axis=1)
-        br_c = np.where(ac[:, None, :], u_col[idx], -np.inf).argmax(axis=2)
+    (B, m, n) payoffs or ranks: the :func:`_fixpoint` of
+    :func:`never_best_responses`."""
+    views = (u_row, u_col.transpose(0, 2, 1))  # (B, own actions, opponent actions)
+
+    def removed(sel, live):
+        return [never_best_responses(views[k][sel], live[k], live[1 - k]) for k in (0, 1)]
+
+    (alive_r, alive_c), _ = _fixpoint(u_row.shape[0], u_row.shape[1:], removed)
+    return alive_r.sum(axis=1), alive_c.sum(axis=1)
 
 
 def records_law(n: int) -> np.ndarray:

@@ -2,10 +2,12 @@
 
 One scalar reference serves games of any number of players, and a bimatrix
 game is its two-player case (paper, Appendix C). :func:`_dominated` reads a
-player's ``view``, her rank of each own action at each opponent profile,
-and :func:`_eliminate` is the one fixpoint. For a bimatrix the views are
-``row_ranks`` and the transpose of ``col_ranks``, and a player's opponent
-profiles are the other player's alive actions.
+player's ``view``, her rank of each own action at each opponent profile.
+:func:`_eliminate` is the one scalar fixpoint; its rule decides what a round
+deletes: pure dominance here (:func:`_pure`), mixed dominance and
+never-best-response deletion in :mod:`domsolve.rationalizability`. For a
+bimatrix the views are ``row_ranks`` and the transpose of ``col_ranks``, and
+a player's opponent profiles are the other player's alive actions.
 
 The engine deletes simultaneously: in every round each player removes all of
 her currently strictly dominated actions relative to the current surviving
@@ -116,18 +118,19 @@ def _opponent_profiles(
     return out
 
 
-def _eliminate(views: Sequence[Matrix], dims: Sequence[int], alive: list[list[int]]):
+def _eliminate(removed, alive: list[list[int]]):
     """Simultaneous-deletion fixpoint from the initial sets ``alive`` (one
     sorted list per player, left unmodified).
 
-    Returns (rounds, surviving sets, undominated counts), the undominated
-    counts taken from the first round.
+    ``removed(alive)`` is the rule: each player's actions a round deletes,
+    in their order in ``alive``. Returns (rounds, surviving sets,
+    undominated counts), the last being the set sizes the first round keeps.
     """
     alive = list(alive)
     rounds: list[tuple[tuple[int, ...], ...]] = []
     undominated = None
     while True:
-        removals = list(map(_dominated, views, alive, _opponent_profiles(dims, alive)))
+        removals = removed(alive)
         if undominated is None:
             undominated = [len(own) - len(gone) for own, gone in zip(alive, removals)]
         if not any(removals):
@@ -136,6 +139,11 @@ def _eliminate(views: Sequence[Matrix], dims: Sequence[int], alive: list[list[in
         for k, gone in enumerate(removals):
             if gone:
                 alive[k] = [a for a in alive[k] if a not in gone]
+
+
+def _pure(views: Sequence[Matrix], dims: Sequence[int]):
+    """The pure strict-dominance rule of :func:`_eliminate`."""
+    return lambda alive: list(map(_dominated, views, alive, _opponent_profiles(dims, alive)))
 
 
 def _views(
@@ -154,7 +162,7 @@ def _views(
 def _solve(game: OrdinalBimatrix | OrdinalTensorGame):
     """:func:`_eliminate` from every player's full action set."""
     views, dims = _views(game)
-    return _eliminate(views, dims, [list(range(d)) for d in dims])
+    return _eliminate(_pure(views, dims), [list(range(d)) for d in dims])
 
 
 def _run_elimination(
@@ -170,8 +178,7 @@ def _run_elimination(
     ``perfbench/tracing.py`` wraps this name here and in :mod:`enumeration`.
     """
     rounds, (rows, cols), (u_r, u_c) = _eliminate(
-        (row_ranks, tuple(zip(*col_ranks))),
-        (len(row_ranks), len(col_ranks[0])),
+        _pure((row_ranks, tuple(zip(*col_ranks))), (len(row_ranks), len(col_ranks[0]))),
         [list(rows), list(cols)],
     )
     return rounds, rows, cols, u_r, u_c
@@ -219,14 +226,10 @@ def iterate_random_order(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Delete one uniformly chosen dominated action at a time until none is
     left; returns the surviving sets. Used to confirm order independence."""
-    views, dims = _views(game)
-    alive = [list(range(d)) for d in dims]
+    dominated = _pure(*_views(game))
+    alive = [list(range(game.m)), list(range(game.n))]
     while True:
-        cand = [
-            (k, a)
-            for k in (ROW, COL)
-            for a in _dominated(views[k], alive[k], alive[1 - k])
-        ]
+        cand = [(k, a) for k, gone in enumerate(dominated(alive)) for a in gone]
         if not cand:
             return tuple(alive[ROW]), tuple(alive[COL])
         player, action = cand[int(rng.integers(len(cand)))]
@@ -300,7 +303,7 @@ def solvable_subgame(
     while len(alive[ROW]) > m_target or len(alive[COL]) > n_target:
         for k in (ROW, COL):
             if len(alive[k]) > targets[k]:
-                rounds, _, _ = _eliminate(views, dims, alive)
+                rounds, _, _ = _eliminate(_pure(views, dims), alive)
                 alive[k].remove(next(a for rnd in rounds for a in rnd[k]))
     return tuple(alive[ROW]), tuple(alive[COL])
 

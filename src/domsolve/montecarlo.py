@@ -188,18 +188,14 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     reported player's survivor and undominated counts: Column's for a
     bimatrix source, the first player's for an N-player source.
 
-    Every metric gets the integer sums (``solvable``, ``iter_*``, ``sc_*``,
+    point-rat-unique gets ``unique`` alone and pure-nash-dist its pure-Nash
+    histogram ``nash_hist`` alone; neither runs the elimination. Every other
+    metric gets the integer sums (``solvable``, ``iter_*``, ``sc_*``,
     ``uc_*``, and for a bimatrix ``sr_less``, the games where some row is
-    eliminated). A histogram metric also gets its one ``Counter``:
-    survivor-dist ``sc_hist``, undominated-dist ``uc_hist``, and
-    pure-nash-dist ``nash_hist``, the only metric that counts pure-Nash
-    cells. point-rat-unique gets ``unique`` alone."""
+    eliminated), and a histogram metric also its one ``Counter``:
+    survivor-dist ``sc_hist``, undominated-dist ``uc_hist``."""
     rng = spec.seed.generator(index)
     src = spec.source
-    if spec.metric == POINT_RAT_UNIQUE:
-        u_row, u_col = kernels.sample_payoff_batch(rng, size, src.m, src.n, src.game_class)
-        count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
-        return {"unique": int(((count_r == 1) & (count_c == 1)).sum())}
     if src.is_nplayer:
         payoffs = kernels.sample_tensor_payoff_batch(rng, size, src.dims)
         out = kernels.eliminate_tensor_batch(payoffs, src.dims)
@@ -207,6 +203,11 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
         tallies = {}
     else:
         u_row, u_col = kernels.sample_payoff_batch(rng, size, src.m, src.n, src.game_class)
+        if spec.metric == POINT_RAT_UNIQUE:
+            count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
+            return {"unique": int(((count_r == 1) & (count_c == 1)).sum())}
+        if spec.metric == PURE_NASH_DIST:
+            return {"nash_hist": Counter(kernels.pure_nash_counts(u_row, u_col).tolist())}
         out = kernels.eliminate_batch(u_row, u_col)
         survivors, undominated = out["s_c"], out["u_c"]
         tallies = {"sr_less": int((out["s_r"] < src.m).sum())}
@@ -222,8 +223,6 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
         "uc_sq": int((undominated.astype(np.int64) ** 2).sum()),
     }
     per_game = {"sc_hist": survivors, "uc_hist": undominated}
-    if spec.metric == PURE_NASH_DIST:
-        per_game["nash_hist"] = kernels.pure_nash_counts(u_row, u_col)
     key = _HISTOGRAM_KEYS.get(spec.metric)
     if key is not None:
         tallies[key] = Counter(per_game[key].tolist())

@@ -16,13 +16,12 @@ HiGHS (``scipy.optimize.linprog``, imported on first use) and counted as a
 fallback; a solver malfunction can only surface as an explicit error, never
 as a silently wrong certificate.
 
-:func:`rationalizable_sets` is the per-game reference; the Monte Carlo
-harness runs :func:`rationalizable_batch`, which decides one elimination
-round of every game of a batch together.
-
-Point-rationalizability (iterated deletion of actions that are never a best
-response to any surviving pure opponent action) is an ordinal notion and
-operates on :class:`OrdinalBimatrix`.
+Mixed dominance and point-rationalizability (iterated deletion of actions
+that are never a best response to any surviving pure opponent action, an
+ordinal notion on :class:`OrdinalBimatrix`) are deletion rules: the per-game
+references pass theirs to :func:`domsolve.elimination._eliminate`, and
+:func:`rationalizable_batch` passes its rule to
+:func:`domsolve._simkernels._fixpoint`, one round of a batch at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _simkernels as kernels
-from .elimination import _dominated, iterate
+from .elimination import _dominated, _eliminate, iterate
 from .games import COL, ROW, CardinalBimatrix, OrdinalBimatrix, _action_index, check_action_sets, ordinalize
 
 _VERIFY_SLACK = 1e-9
@@ -307,35 +306,29 @@ def rationalizable_sets(
     """
     views = (_payoff_view(game, ROW), _payoff_view(game, COL))
     pure_views = [payoffs.tolist() for payoffs in views]
-    alive = [list(range(game.m)), list(range(game.n))]
-    rounds = 0
-    while True:
-        removals = []
+
+    def removed(alive):
+        out = []
         for player in (ROW, COL):
             own, opp = alive[player], alive[1 - player]
             # a lone action is a best response, so no LP sees |own| < 2
             safe = _best_response_actions(views[player], own, opp)
             pure = set(_dominated(pure_views[player], own, opp))
-            removed = []
-            for action in own:
-                if action in safe:
-                    continue
-                if action in pure or is_mixed_dominated(
-                    game, player, action, tuple(own), tuple(opp), tol
-                ):
-                    removed.append(action)
-            removals.append(removed)
-        if not any(removals):
-            break
-        rounds += 1
-        alive = [[a for a in own if a not in gone] for own, gone in zip(alive, removals)]
+            lp_args = (tuple(own), tuple(opp), tol)
+            out.append([
+                a for a in own
+                if a not in safe and (a in pure or is_mixed_dominated(game, player, a, *lp_args))
+            ])
+        return out
+
+    rounds, alive, _ = _eliminate(removed, [list(range(game.m)), list(range(game.n))])
     ordinal = ordinalize(game)
     return RationalizabilityReport(
         rationalizable=(tuple(alive[ROW]), tuple(alive[COL])),
         point_rationalizable=point_rationalizable_sets(ordinal),
         pure_survivors=iterate(ordinal).surviving,
         mixed_solvable=len(alive[ROW]) == 1 and len(alive[COL]) == 1,
-        mixed_iterations=rounds,
+        mixed_iterations=len(rounds),
     )
 
 
@@ -344,44 +337,31 @@ def rationalizable_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict:
     of games with payoff stacks ``u_row``, ``u_col`` of shape (B, m, n).
 
     Same shortcuts and verdicts as :func:`rationalizable_sets`, game by game,
-    but one round of every unfinished game runs together: best responses and
-    pure dominance are masked array operations, and the remaining checks of
-    a round go to :func:`solve_gap_games` in one call per (alternatives,
-    opponent actions) shape. Returns the surviving masks under
-    ``"rationalizable"``, the per-game round counts under ``"iterations"``,
-    and how many checks needed a solver (``"lp_checks"``) and HiGHS
-    (``"lp_fallbacks"``).
+    but one round of every unfinished game runs together (the rule
+    :func:`_round_removals`): best responses and pure dominance are masked
+    array operations, and the remaining checks of a round go to
+    :func:`solve_gap_games` in one call per (alternatives, opponent actions)
+    shape. Returns the surviving masks under ``"rationalizable"``, the
+    per-game round counts under ``"iterations"``, and how many checks needed
+    a solver (``"lp_checks"``) and HiGHS (``"lp_fallbacks"``).
     """
-    batch, m, n = u_row.shape
     views = (u_row, u_col.transpose(0, 2, 1))  # (B, own actions, opponent actions)
     beaten = [kernels.outrank_bits(v.transpose(0, 2, 1)) for v in views]  # once per batch
-    alive = [np.ones((batch, m), dtype=bool), np.ones((batch, n), dtype=bool)]
-    rounds = np.zeros(batch, dtype=np.int64)
-    checks = fallbacks = 0
-    idx = np.arange(batch)
-    while idx.size:
-        removed = []
+    solved = {"lp_checks": 0, "lp_fallbacks": 0}
+
+    def removed(sel, live):
+        out = []
         for player in (ROW, COL):
             gone, fallback = _round_removals(
-                views[player][idx],
-                alive[player][idx],
-                alive[1 - player][idx],
-                beaten[player][idx],
+                views[player][sel], live[player], live[1 - player], beaten[player][sel]
             )
-            removed.append(gone)
-            checks += fallback.size
-            fallbacks += int(fallback.sum())
-        progressed = removed[ROW].any(axis=1) | removed[COL].any(axis=1)
-        rounds[idx] += progressed
-        alive[ROW][idx] &= ~removed[ROW]
-        alive[COL][idx] &= ~removed[COL]
-        idx = idx[progressed]
-    return {
-        "rationalizable": (alive[ROW], alive[COL]),
-        "iterations": rounds,
-        "lp_checks": checks,
-        "lp_fallbacks": fallbacks,
-    }
+            out.append(gone)
+            solved["lp_checks"] += fallback.size
+            solved["lp_fallbacks"] += int(fallback.sum())
+        return out
+
+    alive, rounds = kernels._fixpoint(u_row.shape[0], u_row.shape[1:], removed)
+    return {"rationalizable": tuple(alive), "iterations": rounds, **solved}
 
 
 def _round_removals(
@@ -392,10 +372,8 @@ def _round_removals(
     needed a solver. ``beaten`` holds the payoffs' outrank bitsets (ties do
     not outrank), which decide pure dominance."""
     actions = np.arange(payoffs.shape[1])
-    best = np.where(own[:, :, None], payoffs, -np.inf).argmax(axis=1)
-    safe = ((best[:, None, :] == actions[None, :, None]) & opp[:, None, :]).any(axis=2)
     gone = kernels._dominated(payoffs.transpose(0, 2, 1), own, opp, beaten)
-    games, targets = np.nonzero(own & ~safe & ~gone)
+    games, targets = np.nonzero(kernels.never_best_responses(payoffs, own, opp) & ~gone)
     fallback = np.zeros(games.size, dtype=bool)
     if not games.size:
         return gone, fallback
@@ -425,10 +403,10 @@ def point_rationalizable_sets(
     """Iterated simultaneous deletion of actions that are not a best response
     to any surviving pure opponent action, until a fixpoint."""
     views = (np.array(game.row_ranks), np.array(game.col_ranks).T)
-    alive = [list(range(game.m)), list(range(game.n))]
-    while True:
+
+    def removed(alive):
         best = [_best_response_actions(views[k], alive[k], alive[1 - k]) for k in (ROW, COL)]
-        kept = [[a for a in alive[k] if a in best[k]] for k in (ROW, COL)]
-        if kept == alive:
-            return tuple(alive[ROW]), tuple(alive[COL])
-        alive = kept
+        return [[a for a in alive[k] if a not in best[k]] for k in (ROW, COL)]
+
+    _, alive, _ = _eliminate(removed, [list(range(game.m)), list(range(game.n))])
+    return tuple(alive[ROW]), tuple(alive[COL])

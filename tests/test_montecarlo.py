@@ -431,12 +431,39 @@ THREE_PLAYER = GameSource(dims=(2, 2, 2))
         (PI, THREE_PLAYER, Estimate(0.24566666666666667, 0.005557495772311415, 6000, 1474)),
         (SURVIVOR_MEAN, THREE_PLAYER, Estimate(1.7261666666666666, 0.005757340037627294, 6000, 6000)),
         (UNDOMINATED_DIST, THREE_PLAYER, HistogramEstimate({1: 751, 2: 5249}, 6000)),
+        (POINT_RAT_UNIQUE, BIMATRIX_2X5, Estimate(0.5931666666666666, 0.00634192363328118, 6000, 3559)),
     ],
 )
 def test_pure_metrics_at_a_fixed_seed(metric, source, want):
     # The batch worker builds only the tallies its metric reads; no pruning
     # of them may change a result.
     assert run(ExperimentSpec(metric, source, 6000, PINNED, batch_size=1000)) == want
+
+
+MIXED_PINNED = Seed(1515, 7)
+
+
+@pytest.mark.parametrize(
+    "metric, want",
+    [
+        (MIXED_PI, Estimate(0.405, 0.015523369479594306, 1000, 405)),
+        (MIXED_COND_ITERATIONS, Estimate(3.071604938271605, 0.043169520330634786, 1000, 405)),
+        (RATIONALIZABLE_MEAN, Estimate(1.988, 0.03080267528648778, 1000, 1000)),
+    ],
+)
+def test_mixed_metrics_at_a_fixed_seed(metric, want):
+    assert run(ExperimentSpec(metric, GameSource(m=3, n=4), 1000, MIXED_PINNED)) == want
+
+
+def test_solvability_chain_at_a_fixed_seed():
+    source = GameSource(m=4, n=4)
+    assert solvability_chain(source, 1000, MIXED_PINNED) == {
+        "pure": Estimate(0.209, 0.012857643641040918, 1000, 209),
+        "mixed": Estimate(0.307, 0.01458598642533305, 1000, 307),
+        "point_rat_unique": Estimate(0.437, 0.01568537535413163, 1000, 437),
+    }
+    tallies = montecarlo._run_batches(ExperimentSpec(MIXED_PI, source, 1000, MIXED_PINNED), 1)
+    assert (tallies["lp_checks"], tallies["lp_fallbacks"]) == (2053, 0)
 
 
 def test_bound_checks_at_a_fixed_seed():

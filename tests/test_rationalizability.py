@@ -16,6 +16,7 @@ from domsolve.games import (
     Seed,
     apply_crra,
     ordinalize,
+    rank_along,
     sample_cardinal,
 )
 from domsolve.rationalizability import (
@@ -171,14 +172,48 @@ def test_point_rationalizable_frequency_2x2():
 
 
 def test_point_rationalizable_kernel_matches_scalar():
-    rng = Seed(604).generator()
-    rr, cc = kernels.sample_rank_batch(rng, 200, 3, 4, GameClass.BASELINE)
-    count_r, count_c = kernels.point_rationalizable_counts(rr, cc)
-    for k in range(200):
-        g = OrdinalBimatrix(rr[k].tolist(), cc[k].tolist())
-        rows, cols = point_rationalizable_sets(g)
-        assert count_r[k] == len(rows)
-        assert count_c[k] == len(cols)
+    # Every shape and class, on the float draws and on their ranks; one test
+    # id, so the first case (3x4 baseline ranks) keeps its original data.
+    for m, n in [(3, 4), (1, 4), (4, 1), (3, 10), (10, 3), (5, 5)]:
+        for game_class in GameClass:
+            if m != n and game_class.requires_square:
+                continue
+            rng = Seed(604).generator()
+            u_row, u_col = kernels.sample_payoff_batch(rng, 200, m, n, game_class)
+            rr, cc = rank_along(u_row, 1), rank_along(u_col, 2)
+            by_ranks = kernels.point_rationalizable_counts(rr, cc)
+            by_payoffs = kernels.point_rationalizable_counts(u_row, u_col)
+            for k in range(200):
+                rows, cols = point_rationalizable_sets(OrdinalBimatrix(rr[k].tolist(), cc[k].tolist()))
+                for (count_r, count_c), inputs in ((by_ranks, "ranks"), (by_payoffs, "payoffs")):
+                    case = (m, n, game_class, inputs, k)
+                    assert (count_r[k], count_c[k]) == (len(rows), len(cols)), case
+
+
+def _never_best_responses_by_brute_force(stack, own, opp):
+    batch, k, p = stack.shape
+    out = own.copy()
+    for b in range(batch):
+        alive = np.flatnonzero(own[b])
+        for q in np.flatnonzero(opp[b]):
+            values = stack[b, alive, q]
+            out[b, alive[values == values.max()][0]] = False  # the lowest tied best response
+    return out
+
+
+@pytest.mark.parametrize("k, p", [(1, 1), (1, 4), (4, 1), (3, 5), (6, 2)])
+def test_never_best_responses_by_brute_force(k, p):
+    rng = np.random.default_rng([605, k, p])
+    batch = 300
+    stack = rng.integers(0, 3, size=(batch, k, p))  # small range: many ties
+    own = rng.random((batch, k)) < 0.6
+    own[np.arange(batch), rng.integers(0, k, batch)] = True  # a player keeps an action
+    opp = rng.random((batch, p)) < 0.6  # some games have no alive opponent action
+    opp[: batch // 3] = True  # and some every own action alive
+    own[: batch // 6] = True
+    want = _never_best_responses_by_brute_force(stack, own, opp)
+    assert np.array_equal(kernels.never_best_responses(stack, own, opp), want)
+    assert np.array_equal(kernels.never_best_responses(stack.astype(float), own, opp), want)
 
 
 def test_crra_invariance_of_ordinal_notions():
