@@ -3,10 +3,10 @@
 Each kernel processes a whole batch of games as numpy arrays, laid out as
 (batch, m, n) with the same conventions as the scalar game objects. Kernels
 read only the order of each player's values along the player's own axis, so
-they take the float draws of :func:`sample_payoff_batch` or their ranks
-alike. The batched eliminator mirrors the simultaneous-deletion semantics of
-:mod:`domsolve.elimination` exactly (the test suite cross-checks the two
-game by game). The 2 x n CLT sampler draws no game at all: it samples the
+they take the float draws of :func:`domsolve.games.sample_class_batch` or
+their ranks alike. The batched eliminator mirrors the simultaneous-deletion
+semantics of :mod:`domsolve.elimination` exactly (the test suite
+cross-checks the two game by game). The 2 x n CLT sampler draws no game at all: it samples the
 surviving column count from its exact law (:func:`records_law`), derived
 from the order statistics of a game.
 
@@ -28,10 +28,11 @@ unfinished games only. Pure-Nash cells are counted apart
 :func:`batch_bytes` estimates a batch's peak memory for the capacity guard
 of :mod:`domsolve.montecarlo`.
 
-Float payoff draws can tie with probability ~2**-53 per pair. A tie fed to
-the kernels stays a tie: neither action outranks the other (ranking the draw
-would instead break it by index). At the batch sizes used here the event is
-negligible and intentionally not resampled.
+Float payoff draws can tie with probability ~2**-53 per pair, and the
+class sampler keeps ties (its one tie policy). A tie fed to the kernels
+stays a tie: neither action outranks the other in dominance, and among tied
+best responses the lowest action counts (ranking the draw would instead
+break the tie by index).
 """
 
 from __future__ import annotations
@@ -42,56 +43,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .games import GameClass, rank_along
-
-
-def _nondecreasing_maps(rng: np.random.Generator, batch: int, m: int, n: int) -> np.ndarray:
-    """(batch, n) array of uniform nondecreasing maps [n] -> [m], 0-based."""
-    if m == 1:
-        return np.zeros((batch, n), dtype=np.int64)
-    u = rng.random((batch, m + n - 1))
-    chosen = np.sort(np.argpartition(u, n - 1, axis=1)[:, :n], axis=1)
-    return chosen - np.arange(n)
-
-
-def sample_payoff_batch(
-    rng: np.random.Generator, batch: int, m: int, n: int, game_class: GameClass
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row's and Column's (batch, m, n) float payoffs for a batch of games of
-    the given class.
-
-    Ordinal dominance statistics do not depend on the payoff distribution
-    (any continuous i.i.d. draw induces the same uniform rank law), so the
-    draws are uniform; a forced best response is a payoff of 2.0.
-    """
-    if game_class is GameClass.BASELINE:
-        return rng.random((batch, m, n)), rng.random((batch, m, n))
-    if game_class in (GameClass.SYMMETRIC, GameClass.POTENTIAL, GameClass.CONSTANT_SUM):
-        u = rng.random((batch, m, n))
-        if game_class is GameClass.SYMMETRIC:
-            return u, u.transpose(0, 2, 1)
-        if game_class is GameClass.POTENTIAL:
-            return u, u
-        return u, -u  # an exact negation: no ties that u does not have
-    if game_class in (GameClass.STRAT_COMPLEMENTS, GameClass.STRAT_COMPLEMENTS_SYM):
-        b = _nondecreasing_maps(rng, batch, m, n)
-        u_row = rng.random((batch, m, n))
-        np.put_along_axis(u_row, b[:, None, :], 2.0, axis=1)
-        if game_class is GameClass.STRAT_COMPLEMENTS_SYM:
-            return u_row, u_row.transpose(0, 2, 1)
-        d = _nondecreasing_maps(rng, batch, n, m)
-        u_col = rng.random((batch, m, n))
-        np.put_along_axis(u_col, d[:, :, None], 2.0, axis=2)
-        return u_row, u_col
-    raise ValueError(f"unsupported game class {game_class}")
+from .games import GameClass, rank_along, sample_class_batch, sample_tensor_batch
 
 
 def sample_rank_batch(
     rng: np.random.Generator, batch: int, m: int, n: int, game_class: GameClass
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column rank tensors of the games :func:`sample_payoff_batch`
-    draws from the same ``rng``."""
-    u_row, u_col = sample_payoff_batch(rng, batch, m, n, game_class)
+    """Row and column rank tensors of the uniform games
+    :func:`domsolve.games.sample_class_batch` draws from the same ``rng``."""
+    u_row, u_col = sample_class_batch(rng, batch, m, n, game_class)
     return rank_along(u_row, 1), rank_along(u_col, 2)
 
 
@@ -389,21 +349,12 @@ def survivors_2xn_batch(rng: np.random.Generator, batch: int, law: np.ndarray) -
     return np.where(solvable, 1, k)
 
 
-def sample_tensor_payoff_batch(
-    rng: np.random.Generator, batch: int, dims: tuple[int, ...]
-) -> list[np.ndarray]:
-    """Float payoffs per player: (batch, m_k, profiles_k), profiles in
-    lexicographic order over the other players (first most significant)."""
-    total = math.prod(dims)
-    return [rng.random((batch, mk, total // mk)) for mk in dims]
-
-
 def sample_tensor_rank_batch(
     rng: np.random.Generator, batch: int, dims: tuple[int, ...]
 ) -> list[np.ndarray]:
-    """Rank tensors of the payoffs :func:`sample_tensor_payoff_batch` draws
-    from the same ``rng``."""
-    return [rank_along(u, 1) for u in sample_tensor_payoff_batch(rng, batch, dims)]
+    """Rank tensors of the payoffs :func:`domsolve.games.sample_tensor_batch`
+    draws from the same ``rng``."""
+    return [rank_along(u, 1) for u in sample_tensor_batch(rng, batch, dims)]
 
 
 def eliminate_tensor_batch(

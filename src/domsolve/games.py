@@ -9,12 +9,15 @@ that need a total order over a whole matrix (symmetric / potential /
 constant-sum constructions) and for mixed-strategy dominance.
 
 All samplers are pure functions of their arguments and a :class:`Seed`;
-repeated calls with the same seed return identical objects. Action indices
-are 0-based throughout.
+repeated calls with the same seed return identical objects. Two-player
+games of every class are built in one place, :func:`sample_class_batch`,
+which also fixes the payoff distribution and the tie policy; the per-game
+samplers draw a batch of one. Action indices are 0-based throughout.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -28,8 +31,6 @@ COL = 1
 UNIFORM = "uniform"
 NORMAL = "normal"
 DISTRIBUTIONS = (UNIFORM, NORMAL)
-
-_MAX_TIE_RESAMPLES = 64
 
 
 class GameClass(Enum):
@@ -58,11 +59,18 @@ class Seed:
 
     master: int
     stream: int = 0
+    path: tuple[int, ...] = ()
 
     def seed_sequence(self, *path: int) -> np.random.SeedSequence:
         return np.random.SeedSequence(
-            entropy=self.master, spawn_key=(self.stream, *path)
+            entropy=self.master, spawn_key=(self.stream, *self.path, *path)
         )
+
+    def child(self, index: int) -> Seed:
+        """The seed of part ``index`` of an experiment (a grid point): its
+        spawn keys extend this seed's by ``index``, so its streams share no
+        random numbers with this seed's own or with another stream's."""
+        return Seed(self.master, self.stream, (*self.path, index))
 
     def generator(self, *path: int) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(self.seed_sequence(*path)))
@@ -287,21 +295,6 @@ def rank_along(u: np.ndarray, axis: int) -> np.ndarray:
     return ranks
 
 
-def sample_baseline(m: int, n: int, seed: Seed) -> OrdinalBimatrix:
-    """Draw an ordinal game: every Row column and every Column row is an
-    independent uniform permutation."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    rng = seed.generator()
-    row_ranks = np.empty((m, n), dtype=np.int64)
-    for j in range(n):
-        row_ranks[:, j] = rng.permutation(m) + 1
-    col_ranks = np.empty((m, n), dtype=np.int64)
-    for i in range(m):
-        col_ranks[i, :] = rng.permutation(n) + 1
-    return OrdinalBimatrix(row_ranks.tolist(), col_ranks.tolist())
-
-
 def _draw_matrix(
     rng: np.random.Generator, shape: tuple[int, ...], distribution: str
 ) -> np.ndarray:
@@ -312,43 +305,150 @@ def _draw_matrix(
     raise ValueError(f"unknown distribution {distribution!r}")
 
 
-def _tie_mask(u: np.ndarray, axis: int) -> np.ndarray:
-    """Entries that collide with another entry along ``axis`` (0: within a
-    column, 1: within a row) of an m x n matrix, or of each matrix of a
-    stack indexed by the leading axes."""
-    if axis == 0:
-        eq = u[..., None, :, :] == u[..., :, None, :]
-        eq &= ~np.eye(u.shape[-2], dtype=bool)[:, :, None]
-        return eq.any(axis=-3)
-    eq = u[..., :, :, None] == u[..., :, None, :]
-    eq &= ~np.eye(u.shape[-1], dtype=bool)
-    return eq.any(axis=-2)
+def check_payoff_law(distribution: str, crra_alpha: float | None) -> None:
+    """Raise ValueError on an unknown distribution, a CRRA exponent outside
+    (0, 1], or CRRA on normal payoffs, which can be negative."""
+    if distribution not in DISTRIBUTIONS:
+        raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
+    if crra_alpha is not None:
+        if not 0 < crra_alpha <= 1:
+            raise ValueError("alpha must lie in (0, 1]")
+        if distribution != UNIFORM:
+            raise ValueError("CRRA transform requires nonnegative payoffs, and normal ones can be negative")
 
 
-def _resample_ties(
-    rng: np.random.Generator, u: np.ndarray, axis: int, distribution: str
+def _nondecreasing_maps(rng: np.random.Generator, batch: int, m: int, n: int) -> np.ndarray:
+    """(batch, n) array of uniform draws from the C(m+n-1, n) nondecreasing
+    maps [n] -> [m], 0-based.
+
+    Stars and bars: the sorted positions ``c`` of the n smallest of m + n - 1
+    uniforms are a uniform n-subset of ``{0, .., m+n-2}``, and
+    ``b_i = c_i - i`` is the map.
+    """
+    if m == 1:
+        return np.zeros((batch, n), dtype=np.int64)
+    u = rng.random((batch, m + n - 1))
+    chosen = np.sort(np.argpartition(u, n - 1, axis=1)[:, :n], axis=1)
+    return chosen - np.arange(n)
+
+
+def _complements_stack(
+    rng: np.random.Generator, batch: int, m: int, n: int, distribution: str, axis: int
 ) -> np.ndarray:
-    # Ties have probability ~0 for float64 draws; resampling the offending
-    # entries preserves the no-tie conditional law.
-    for _ in range(_MAX_TIE_RESAMPLES):
-        mask = _tie_mask(u, axis)
-        if not mask.any():
-            return u
-        fresh = _draw_matrix(rng, u.shape, distribution)
-        u = np.where(mask, fresh, u)
-    raise RuntimeError("could not break payoff ties")  # pragma: no cover
+    """A (batch, m, n) payoff draw conditioned on a uniform nondecreasing
+    best-response map: each column's best row (``axis`` 1) or each row's best
+    column (``axis`` 2). The map is drawn first, then the stack, and each
+    line's maximum is swapped into the place the map gives. By
+    exchangeability this is the i.i.d. law conditioned on the map, payoff
+    values included, without rejection."""
+    size, lines = (m, n) if axis == 1 else (n, m)
+    best = np.expand_dims(_nondecreasing_maps(rng, batch, size, lines), axis)
+    u = _draw_matrix(rng, (batch, m, n), distribution)
+    top = np.expand_dims(u.argmax(axis=axis), axis)
+    high = np.take_along_axis(u, top, axis)
+    np.put_along_axis(u, top, np.take_along_axis(u, best, axis), axis)
+    np.put_along_axis(u, best, high, axis)
+    return u
+
+
+def sample_class_batch(
+    rng: np.random.Generator,
+    batch: int,
+    m: int,
+    n: int,
+    game_class: GameClass = GameClass.BASELINE,
+    distribution: str = UNIFORM,
+    crra_alpha: float | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row's and Column's (batch, m, n) payoffs of ``batch`` games of a class.
+
+    Every sampler of two-player games draws here: Row's (batch, m, n) stack
+    first, then Column's, each from ``distribution``. Baseline games are two
+    independent stacks. One stack R drives the symmetric ((R, R^T)),
+    potential ((R, R)) and constant-sum ((R, 1 - R)) classes; 1 - R is exact
+    for uniform draws and orders the actions as -R does. The strategic
+    complementarity classes condition each stack on a nondecreasing
+    best-response map, drawn uniformly over such maps just before the stack,
+    by swapping each column's (row's) maximum into the row (column) the map
+    gives; this matches the conditional law, payoffs included, without
+    rejection. ``crra_alpha`` then raises every payoff to that power with
+    ``np.power`` (as :func:`apply_crra` does, so the two agree bit for bit;
+    Python's float pow differs in the last bit on some inputs).
+
+    Ties are kept. A float tie has probability about 2**-53 per pair, and
+    every reader of a batch treats it the same way: neither tied action
+    outranks the other, and among tied best responses the lowest action
+    counts. The per-game samplers redraw a tied game whole, since
+    :class:`CardinalBimatrix` rejects ties.
+    """
+    if m < 1 or n < 1:
+        raise ValueError("m and n must be >= 1")
+    if game_class.requires_square and m != n:
+        raise ValueError(f"{game_class.value} requires m = n")
+    check_payoff_law(distribution, crra_alpha)
+    if game_class in (GameClass.STRAT_COMPLEMENTS, GameClass.STRAT_COMPLEMENTS_SYM):
+        u_row = _complements_stack(rng, batch, m, n, distribution, 1)
+    else:
+        u_row = _draw_matrix(rng, (batch, m, n), distribution)
+    if game_class is GameClass.BASELINE:
+        u_col = _draw_matrix(rng, (batch, m, n), distribution)
+    elif game_class in (GameClass.SYMMETRIC, GameClass.STRAT_COMPLEMENTS_SYM):
+        u_col = u_row.transpose(0, 2, 1)
+    elif game_class is GameClass.POTENTIAL:
+        u_col = u_row
+    elif game_class is GameClass.CONSTANT_SUM:
+        u_col = 1.0 - u_row
+    else:
+        u_col = _complements_stack(rng, batch, m, n, distribution, 2)
+    if crra_alpha is not None:
+        u_row, u_col = np.power(u_row, crra_alpha), np.power(u_col, crra_alpha)
+    return u_row, u_col
+
+
+def sample_tensor_batch(rng: np.random.Generator, batch: int, dims: Sequence[int]) -> list[np.ndarray]:
+    """Uniform payoffs of ``batch`` N-player games, per player k a
+    (batch, m_k, profiles_k) stack, profiles in lexicographic order over the
+    other players (first most significant)."""
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise ValueError("need >= 2 players, each with >= 1 action")
+    total = math.prod(dims)
+    return [rng.random((batch, mk, total // mk)) for mk in dims]
+
+
+def _has_tie(u_row: np.ndarray, u_col: np.ndarray) -> bool:
+    """Whether Row's payoffs tie within a column or Column's within a row."""
+    return bool(
+        (np.diff(np.sort(u_row, axis=0), axis=0) == 0).any()
+        or (np.diff(np.sort(u_col, axis=1), axis=1) == 0).any()
+    )
+
+
+def _draw_game(
+    rng: np.random.Generator,
+    m: int,
+    n: int,
+    game_class: GameClass = GameClass.BASELINE,
+    distribution: str = UNIFORM,
+    crra_alpha: float | None = None,
+) -> CardinalBimatrix:
+    """Game 0 of a size-1 :func:`sample_class_batch`, drawn again, whole,
+    while it has a tie."""
+    while True:
+        u_row, u_col = (u[0] for u in sample_class_batch(rng, 1, m, n, game_class, distribution, crra_alpha))
+        if not _has_tie(u_row, u_col):
+            return CardinalBimatrix(u_row.tolist(), u_col.tolist())
+
+
+def sample_baseline(m: int, n: int, seed: Seed) -> OrdinalBimatrix:
+    """Draw an ordinal game: every Row column and every Column row is an
+    independent uniform permutation (the ranks of a size-1 uniform batch)."""
+    u_row, u_col = sample_class_batch(seed.generator(), 1, m, n)
+    return OrdinalBimatrix(rank_along(u_row[0], 0).tolist(), rank_along(u_col[0], 1).tolist())
 
 
 def sample_cardinal(m: int, n: int, distribution: str, seed: Seed) -> CardinalBimatrix:
     """Draw i.i.d. real payoffs for both players from ``uniform`` or ``normal``."""
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    if distribution not in DISTRIBUTIONS:
-        raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-    rng = seed.generator()
-    u_row = _resample_ties(rng, _draw_matrix(rng, (m, n), distribution), 0, distribution)
-    u_col = _resample_ties(rng, _draw_matrix(rng, (m, n), distribution), 1, distribution)
-    return CardinalBimatrix(u_row.tolist(), u_col.tolist())
+    return _draw_game(seed.generator(), m, n, GameClass.BASELINE, distribution)
 
 
 def apply_crra(game: CardinalBimatrix, alpha: float) -> CardinalBimatrix:
@@ -359,12 +459,11 @@ def apply_crra(game: CardinalBimatrix, alpha: float) -> CardinalBimatrix:
     """
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
-    for matrix in (game.u_row, game.u_col):
-        for row in matrix:
-            if any(x < 0 for x in row):
-                raise ValueError("CRRA transform requires nonnegative payoffs")
-    pow_ = lambda rows: [[x**alpha for x in row] for row in rows]
-    return CardinalBimatrix(pow_(game.u_row), pow_(game.u_col))
+    u = np.array([game.u_row, game.u_col])
+    if (u < 0).any():
+        raise ValueError("CRRA transform requires nonnegative payoffs")
+    u_row, u_col = np.power(u, alpha)  # as sample_class_batch applies CRRA
+    return CardinalBimatrix(u_row.tolist(), u_col.tolist())
 
 
 def ordinalize(game: CardinalBimatrix) -> OrdinalBimatrix:
@@ -374,98 +473,26 @@ def ordinalize(game: CardinalBimatrix) -> OrdinalBimatrix:
     return OrdinalBimatrix(rank_along(u_row, 0).tolist(), rank_along(u_col, 1).tolist())
 
 
-def sample_nondecreasing_br(m: int, n: int, seed: Seed | None = None,
-                            rng: np.random.Generator | None = None) -> tuple[int, ...]:
-    """Uniform draw from the C(m+n-1, n) nondecreasing maps [n] -> [m].
-
-    Classic stars-and-bars bijection: a sorted n-subset ``c`` of
-    ``{0, .., m+n-2}`` maps to ``b_i = c_i - i``. Returns 0-based values.
-    """
+def sample_nondecreasing_br(m: int, n: int, seed: Seed) -> tuple[int, ...]:
+    """Uniform draw from the C(m+n-1, n) nondecreasing maps [n] -> [m],
+    0-based: a batch of one from the class sampler's map draw."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    if rng is None:
-        if seed is None:
-            raise ValueError("either seed or rng is required")
-        rng = seed.generator()
-    chosen = np.sort(rng.permutation(m + n - 1)[:n])
-    return tuple(int(c - i) for i, c in enumerate(chosen))
-
-
-def _force_column_argmax(u: np.ndarray, best_rows: Sequence[int]) -> np.ndarray:
-    # Swap each column's maximum into the prescribed row. By exchangeability
-    # this realizes the distribution of an i.i.d. matrix conditioned on its
-    # column-argmax pattern.
-    out = u.copy()
-    for j, b in enumerate(best_rows):
-        top = int(out[:, j].argmax())
-        out[[top, b], j] = out[[b, top], j]
-    return out
+    return tuple(_nondecreasing_maps(seed.generator(), 1, m, n)[0].tolist())
 
 
 def sample_class(
     game_class: GameClass, m: int, n: int, seed: Seed, distribution: str = UNIFORM
 ) -> CardinalBimatrix:
-    """Draw a cardinal game from one of the structured classes.
-
-    A single payoff matrix drives the symmetric ((R, R^T)), potential
-    ((R, R)) and constant-sum ((R, 1-R)) constructions. The strategic
-    complementarity classes condition each payoff matrix on having a
-    nondecreasing best-response function; this is realized directly by
-    drawing the best-response map uniformly over nondecreasing functions and
-    placing each column's (row's) maximum accordingly, which matches the
-    conditional law without rejection.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("m and n must be >= 1")
-    return _sample_class_impl(seed.generator(), game_class, m, n, distribution)
-
-
-def _sample_class_impl(
-    rng: np.random.Generator, game_class: GameClass, m: int, n: int, distribution: str
-) -> CardinalBimatrix:
-    if game_class.requires_square and m != n:
-        raise ValueError(f"{game_class.value} requires m = n")
-
-    if game_class is GameClass.BASELINE:
-        u_row = _resample_ties(rng, _draw_matrix(rng, (m, n), distribution), 0, distribution)
-        u_col = _resample_ties(rng, _draw_matrix(rng, (m, n), distribution), 1, distribution)
-        return CardinalBimatrix(u_row.tolist(), u_col.tolist())
-
-    if game_class in (GameClass.SYMMETRIC, GameClass.POTENTIAL, GameClass.CONSTANT_SUM):
-        r = rng.random((m, n))
-        while len(set(r.ravel().tolist())) != m * n:  # pragma: no cover
-            r = rng.random((m, n))
-        if game_class is GameClass.SYMMETRIC:
-            u_col = r.T
-        elif game_class is GameClass.POTENTIAL:
-            u_col = r
-        else:
-            u_col = 1.0 - r
-        return CardinalBimatrix(r.tolist(), u_col.tolist())
-
-    # Strategic complementarities: Row's best response b: [n] -> [m] and
-    # (independently) Column's d: [m] -> [n], both nondecreasing.
-    b = sample_nondecreasing_br(m, n, rng=rng)
-    u_row = _force_column_argmax(rng.random((m, n)), b)
-    if game_class is GameClass.STRAT_COMPLEMENTS_SYM:
-        u_col = u_row.T
-    else:
-        d = sample_nondecreasing_br(n, m, rng=rng)
-        u_col = _force_column_argmax(rng.random((n, m)), d).T
-    return CardinalBimatrix(u_row.tolist(), u_col.tolist())
+    """Draw a cardinal game from one of the structured classes, as
+    :func:`sample_class_batch` builds them."""
+    return _draw_game(seed.generator(), m, n, game_class, distribution)
 
 
 def sample_nplayer(dims: Sequence[int], seed: Seed) -> OrdinalTensorGame:
     """Draw an N-player ordinal game: one independent uniform permutation of
-    each player's actions per opponent profile."""
+    each player's actions per opponent profile (the ranks of a size-1
+    :func:`sample_tensor_batch`)."""
     dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise ValueError("need >= 2 players, each with >= 1 action")
-    rng = seed.generator()
-    ranks = []
-    for k, mk in enumerate(dims):
-        profiles = opponent_profile_count(dims, k)
-        ranks.append(
-            tuple(tuple(int(x) + 1 for x in rng.permutation(mk)) for _ in range(profiles))
-        )
-    return OrdinalTensorGame(dims, tuple(ranks))
+    payoffs = sample_tensor_batch(seed.generator(), 1, dims)
+    return OrdinalTensorGame(dims, tuple(rank_along(u[0], 0).T.tolist() for u in payoffs))

@@ -92,8 +92,7 @@ class GameSource:
                 raise ValueError("m and n must be >= 1")
             if self.game_class.requires_square and self.m != self.n:
                 raise ValueError(f"{self.game_class.value} requires m = n")
-        if self.crra_alpha is not None and not 0 < self.crra_alpha <= 1:
-            raise ValueError("crra_alpha must lie in (0, 1]")
+        games.check_payoff_law(self.distribution, self.crra_alpha)
 
     @property
     def is_nplayer(self) -> bool:
@@ -197,12 +196,12 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     rng = spec.seed.generator(index)
     src = spec.source
     if src.is_nplayer:
-        payoffs = kernels.sample_tensor_payoff_batch(rng, size, src.dims)
+        payoffs = games.sample_tensor_batch(rng, size, src.dims)
         out = kernels.eliminate_tensor_batch(payoffs, src.dims)
         survivors, undominated = out["survivors"][0], out["undominated"][0]
         tallies = {}
     else:
-        u_row, u_col = kernels.sample_payoff_batch(rng, size, src.m, src.n, src.game_class)
+        u_row, u_col = _draw_batch(rng, src, size)
         if spec.metric == POINT_RAT_UNIQUE:
             count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
             return {"unique": int(((count_r == 1) & (count_c == 1)).sum())}
@@ -229,55 +228,30 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     return tallies
 
 
+def _draw_batch(rng: np.random.Generator, src: GameSource, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row's and Column's (size, m, n) payoffs of ``size`` games of a
+    bimatrix source, for pure and mixed batches alike."""
+    return games.sample_class_batch(
+        rng, size, src.m, src.n, src.game_class, src.distribution, src.crra_alpha
+    )
+
+
 def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.CardinalBimatrix:
-    game = games._sample_class_impl(rng, src.game_class, src.m, src.n, src.distribution)
-    if src.crra_alpha is not None and src.crra_alpha != 1.0:
-        game = games.apply_crra(game, src.crra_alpha)
-    return game
-
-
-def _draw_game_by_game(
-    rng: np.random.Generator, src: GameSource, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    drawn = [_draw_cardinal_game(rng, src) for _ in range(size)]
-    return np.array([g.u_row for g in drawn]), np.array([g.u_col for g in drawn])
-
-
-def _draw_cardinal_batch(
-    rng: np.random.Generator, src: GameSource, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Payoff stacks (size, m, n) of ``size`` games, equal bit for bit to
-    ``size`` calls of :func:`_draw_cardinal_game`, leaving ``rng`` in the
-    same state.
-
-    A baseline-class source without CRRA is one (size, 2, m, n) draw (Row's
-    matrix, then Column's, game by game). When any game of that draw has a
-    tie the per-game path would redraw, the batch is replayed game by game
-    from the saved state. Every other source is drawn game by game.
-    """
-    if src.game_class is not GameClass.BASELINE or src.crra_alpha not in (None, 1.0):
-        return _draw_game_by_game(rng, src, size)
-    saved = rng.bit_generator.state
-    draws = games._draw_matrix(rng, (size, 2, src.m, src.n), src.distribution)
-    u_row, u_col = draws[:, 0], draws[:, 1]
-    if not (games._tie_mask(u_row, 0).any() or games._tie_mask(u_col, 1).any()):
-        return np.ascontiguousarray(u_row), np.ascontiguousarray(u_col)
-    rng.bit_generator.state = saved
-    return _draw_game_by_game(rng, src, size)
+    """One game of a bimatrix source: a batch of one, drawn again while it
+    has a tie (the per-game reference of the tests)."""
+    return games._draw_game(rng, src.m, src.n, src.game_class, src.distribution, src.crra_alpha)
 
 
 def _mixed_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
-    """Mixed, pure and point-rationalizable tallies of one batch. The games
-    are drawn by :func:`_draw_cardinal_batch` in the stream layout of
-    :func:`_draw_cardinal_game` and decided together."""
-    rng = spec.seed.generator(index)
-    u_row, u_col = _draw_cardinal_batch(rng, spec.source, size)
+    """Mixed, pure and point-rationalizable tallies of one batch, drawn as
+    a pure batch is and decided together."""
+    u_row, u_col = _draw_batch(spec.seed.generator(index), spec.source, size)
     mixed = rationalizability.rationalizable_batch(u_row, u_col)
     rat_r, rat_c = (alive.sum(axis=1) for alive in mixed["rationalizable"])
     solvable = (rat_r == 1) & (rat_c == 1)
     iters = mixed["iterations"][solvable]
-    # The draw has no ties along either player's own axis, so the payoffs
-    # order the actions exactly as their ranks do.
+    # The kernels read the payoffs' order only; a tie in the draw stays a
+    # tie in all three rules (see the class sampler's tie policy).
     count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
     return {
         "solvable": int(solvable.sum()),
@@ -320,9 +294,9 @@ def _merge(tallies: Iterable[dict]) -> dict:
 
 def _mixed_game_bytes(m: int, n: int) -> int:
     """Upper estimate of the bytes one game adds to a mixed batch: 64 bytes
-    a payoff cell, which covers a game-by-game draw (both players' payoffs
-    as Python floats, which an array draw keeps well below) and, per player
-    and own action, one float64 simplex tableau with two gap-game copies."""
+    a payoff cell, which covers the two float64 payoff stacks with the
+    copies the rules gather from them, and, per player and own action, one
+    float64 simplex tableau with two gap-game copies."""
     return 64 * m * n + sum(24 * k * (k + 1) * (k + o + 1) for k, o in ((m, n), (n, m)))
 
 
@@ -400,12 +374,13 @@ def sweep(
     seed: Seed,
     threads: int = 1,
 ) -> list[SweepRow]:
-    """One estimate per grid point; each point gets its own sub-stream."""
+    """One estimate per grid point; point i draws from ``seed.child(i)``, so
+    no point shares random numbers with another run."""
     if metric in _HISTOGRAM_KEYS:
         raise ValueError("sweep supports scalar metrics only")
     rows = []
     for offset, source in enumerate(sources):
-        point_seed = Seed(seed.master, seed.stream + offset)
+        point_seed = seed.child(offset)
         est = run(ExperimentSpec(metric, source, samples, point_seed), threads)
         rows.append(
             SweepRow(
@@ -536,14 +511,14 @@ def bound_checks(
     threads: int = 1,
 ) -> list[BoundCheckRow]:
     """Check the solvability lower bound and the row-elimination upper bound
-    on each (m, n) grid point."""
+    on each (m, n) grid point; point i draws from ``seed.child(i)``."""
     rows = []
     for offset, (m, n) in enumerate(grid):
         spec = ExperimentSpec(
             PI,
             GameSource(m=m, n=n),
             samples,
-            Seed(seed.master, seed.stream + offset),
+            seed.child(offset),
         )
         tallies = _run_batches(spec, threads)
         pi_hat = tallies["solvable"] / samples

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from domsolve import exact, montecarlo
+from domsolve import exact, games, montecarlo
 from domsolve.cli import _EXACT_TABLES, _decimal, main
 
 
@@ -239,6 +239,22 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "simulate", "--metric", "pi", "--samples", "10")
     assert code == 2 and "--m and --n" in err
+
+
+@pytest.mark.parametrize("metric", ["pi", "mixed-pi"])
+def test_simulate_rejects_crra_on_normal_payoffs(capsys, monkeypatch, metric):
+    # CRRA needs nonnegative payoffs: refused when the source is built,
+    # before anything is drawn.
+    def never(*args):
+        raise AssertionError("a batch was drawn")
+
+    monkeypatch.setattr(games, "sample_class_batch", never)
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--metric", metric, "--m", "3", "--n", "3", "--dist", "normal",
+        "--alpha", "0.5", "--samples", "300", "--seed", "1",
+    )
+    assert code == 2 and not out and "nonnegative payoffs" in err
 
 
 def test_simulate_csv_schema_and_determinism(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from domsolve import _simkernels as kernels
+from domsolve import _simkernels as kernels, games
 from domsolve.games import (
     CardinalBimatrix,
     GameClass,
@@ -21,8 +21,10 @@ from domsolve.games import (
     sample_baseline,
     sample_cardinal,
     sample_class,
+    sample_class_batch,
     sample_nondecreasing_br,
     sample_nplayer,
+    sample_tensor_batch,
 )
 
 
@@ -173,6 +175,66 @@ def test_strat_complements_best_responses_nondecreasing():
     g = sample_class(GameClass.STRAT_COMPLEMENTS_SYM, 4, 4, Seed(2))
     assert np.array_equal(np.array(g.u_col), np.array(g.u_row).T)
     assert (np.diff(np.array(g.u_row).argmax(axis=0)) >= 0).all()
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "normal"])
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (5, 1), (4, 6), (6, 6)])
+def test_class_batch_structure(m, n, distribution):
+    def batch(game_class):
+        return sample_class_batch(Seed(88, m * 10 + n).generator(), 300, m, n, game_class, distribution)
+
+    u_row, u_col = batch(GameClass.STRAT_COMPLEMENTS)
+    assert (np.diff(u_row.argmax(axis=1), axis=1) >= 0).all()
+    assert (np.diff(u_col.argmax(axis=2), axis=1) >= 0).all()
+    u_row, u_col = batch(GameClass.CONSTANT_SUM)
+    assert np.array_equal(u_col, 1.0 - u_row)
+    if distribution == "uniform":
+        assert (u_row + u_col == 1.0).all()  # 1 - u is exact for 53-bit uniforms
+    u_row, u_col = batch(GameClass.POTENTIAL)
+    assert np.array_equal(u_row, u_col)
+    if m == n:
+        for game_class in (GameClass.SYMMETRIC, GameClass.STRAT_COMPLEMENTS_SYM):
+            u_row, u_col = batch(game_class)
+            assert np.array_equal(u_col, u_row.transpose(0, 2, 1))
+        assert (np.diff(u_row.argmax(axis=1), axis=1) >= 0).all()
+    u_row, u_col = batch(GameClass.BASELINE)
+    assert (u_row >= 0).all() if distribution == "uniform" else (u_row < 0).any()
+    assert not np.array_equal(u_row, u_col)
+
+
+def test_class_batch_validation():
+    rng = Seed(0).generator()
+    for args in (
+        (0, 3, GameClass.BASELINE),
+        (2, 3, GameClass.SYMMETRIC),
+        (3, 3, GameClass.BASELINE, "pareto"),
+        (3, 3, GameClass.BASELINE, "uniform", 1.5),
+        (3, 3, GameClass.BASELINE, "normal", 0.5),
+    ):
+        with pytest.raises(ValueError):
+            sample_class_batch(rng, 4, *args)
+
+
+def test_crra_batch_is_apply_crra():
+    u_row, u_col = sample_class_batch(Seed(6).generator(), 50, 3, 4, GameClass.BASELINE, "uniform", 0.41)
+    plain_row, plain_col = sample_class_batch(Seed(6).generator(), 50, 3, 4)
+    for k in range(50):
+        game = apply_crra(CardinalBimatrix(plain_row[k].tolist(), plain_col[k].tolist()), 0.41)
+        assert game == CardinalBimatrix(u_row[k].tolist(), u_col[k].tolist())
+
+
+def test_ordinal_samplers_rank_a_batch_of_one():
+    for m, n in ((1, 1), (3, 4), (5, 2)):
+        u_row, u_col = sample_class_batch(Seed(21, m).generator(), 1, m, n)
+        want = OrdinalBimatrix(rank_along(u_row[0], 0).tolist(), rank_along(u_col[0], 1).tolist())
+        assert sample_baseline(m, n, Seed(21, m)) == want
+    for dims in ((2, 2, 2), (3, 1, 2), (4, 3)):
+        payoffs = sample_tensor_batch(Seed(22).generator(), 1, dims)
+        game = sample_nplayer(dims, Seed(22))
+        assert all(np.array_equal(r, rank_along(u[0], 0).T) for r, u in zip(game.ranks, payoffs))
+    for m, n in ((1, 4), (3, 4), (6, 2)):
+        rng = Seed(23).generator()
+        assert sample_nondecreasing_br(m, n, Seed(23)) == tuple(games._nondecreasing_maps(rng, 1, m, n)[0].tolist())
 
 
 def test_nondecreasing_br_sampler():

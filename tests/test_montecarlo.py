@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domsolve import _simkernels as kernels, exact, montecarlo
-from domsolve.games import COL, GameClass, Seed
+from domsolve import _simkernels as kernels, exact, games, montecarlo
+from domsolve.games import COL, CardinalBimatrix, GameClass, Seed
 from domsolve.montecarlo import (
     CLT_MAX_N,
     COND_ITERATIONS,
@@ -36,7 +36,6 @@ from domsolve.montecarlo import (
     run,
     solvability_chain,
     sweep,
-    _draw_cardinal_batch,
     _draw_cardinal_game,
     _ks_normal,
     _mixed_batch_tallies,
@@ -58,6 +57,10 @@ def test_spec_validation():
         ExperimentSpec(MIXED_PI, GameSource(dims=(2, 2)), 10, SEED)
     with pytest.raises(ValueError):
         GameSource(m=2, n=3, game_class=GameClass.SYMMETRIC)
+    with pytest.raises(ValueError, match="distribution"):
+        GameSource(m=3, n=3, distribution="pareto")
+    with pytest.raises(ValueError, match="nonnegative payoffs"):
+        GameSource(m=3, n=3, distribution="normal", crra_alpha=0.5)
 
 
 def test_pi_matches_exact():
@@ -162,16 +165,16 @@ def test_nplayer_survivor_metrics():
 
 
 def scalar_mixed_tallies(spec, index, size):
-    """The per-game loop that the batched mixed tallies replaced: draw each
-    game and decide it with the scalar reference ``rationalizable_sets``."""
-    rng = spec.seed.generator(index)
+    """The batch's own arrays, decided game by game with the scalar
+    reference ``rationalizable_sets``."""
+    u_row, u_col = montecarlo._draw_batch(spec.seed.generator(index), spec.source, size)
     out = dict.fromkeys(
         ("solvable", "iter_sum", "iter_sq", "rat_cols_sum", "rat_cols_sq",
          "pure_solvable", "prat_unique"),
         0,
     )
-    for _ in range(size):
-        report = rationalizable_sets(_draw_cardinal_game(rng, spec.source))
+    for r, c in zip(u_row, u_col):
+        report = rationalizable_sets(CardinalBimatrix(r.tolist(), c.tolist()))
         if report.mixed_solvable:
             out["solvable"] += 1
             out["iter_sum"] += report.mixed_iterations
@@ -232,11 +235,6 @@ def test_mixed_batch_matches_scalar_property(m, n, game_class, payoffs, master):
     _batch_matches_scalar(source, Seed(master), 12)
 
 
-def _per_game_stacks(rng, source, size):
-    drawn = [_draw_cardinal_game(rng, source) for _ in range(size)]
-    return np.array([g.u_row for g in drawn]), np.array([g.u_col for g in drawn])
-
-
 @pytest.mark.parametrize(
     "source",
     [
@@ -248,120 +246,57 @@ def _per_game_stacks(rng, source, size):
     ids=lambda s: f"{s.m}x{s.n}-{s.game_class.value}-{s.distribution}-{s.crra_alpha}",
 )
 def test_cardinal_batch_draw_is_the_per_game_stream(source):
+    # Every per-game draw of a cardinal game is game 0 of a batch of one
+    # from the same generator, and leaves the generator where the batch does.
     seed = Seed(733, source.m * 10 + source.n)
     batch_rng, game_rng = seed.generator(), seed.generator()
-    got = _draw_cardinal_batch(batch_rng, source, 37)
-    want = _per_game_stacks(game_rng, source, 37)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    assert all(u.flags.c_contiguous for u in got)
-    # Both generators end in the same state.
+    u_row, u_col = montecarlo._draw_batch(batch_rng, source, 1)
+    want = CardinalBimatrix(u_row[0].tolist(), u_col[0].tolist())
+    assert _draw_cardinal_game(game_rng, source) == want
     assert batch_rng.random() == game_rng.random()
+    crra = (lambda g: games.apply_crra(g, source.crra_alpha)) if source.crra_alpha else (lambda g: g)
+    assert crra(games.sample_class(source.game_class, source.m, source.n, seed, source.distribution)) == want
+    if source.game_class is GameClass.BASELINE:
+        assert crra(games.sample_cardinal(source.m, source.n, source.distribution, seed)) == want
 
 
-class _ReplayStream:
-    """A stand-in generator whose float draws read ``values`` in order; its
-    ``bit_generator.state`` is the read position."""
-
-    def __init__(self, values):
-        self.values = values
-        self.state = 0
-        self.bit_generator = self
-
-    def random(self, shape):
-        size = math.prod(shape)
-        out = self.values[self.state : self.state + size].reshape(shape).copy()
-        self.state += size
-        return out
-
-    standard_normal = random
+def test_per_game_draw_redraws_a_tied_game_whole(monkeypatch):
+    # The batch keeps ties; the per-game draw, whose CardinalBimatrix
+    # rejects them, draws the whole game again.
+    tied = np.array([[[0.5, 0.1], [0.5, 0.2]]]), np.array([[[0.1, 0.2], [0.3, 0.4]]])
+    clean = np.array([[[0.6, 0.1], [0.5, 0.2]]]), np.array([[[0.1, 0.2], [0.3, 0.4]]])
+    draws = iter([tied, clean])
+    monkeypatch.setattr(games, "sample_class_batch", lambda *args: next(draws))
+    game = _draw_cardinal_game(None, GameSource(m=2, n=2))
+    assert game.u_row == ((0.6, 0.1), (0.5, 0.2))
+    assert next(draws, None) is None
 
 
-@pytest.mark.parametrize(
-    "source, cells",
-    [
-        (GameSource(m=3, n=4), (1, 5)),  # Row's column 1
-        (GameSource(m=3, n=4), (12, 13)),  # Column's row 0
-        (GameSource(m=4, n=2, distribution="normal"), (8, 9)),  # Column's row 0
-        (GameSource(m=1, n=3), (3, 5)),  # Column's only row
-    ],
+CRRA_SIDES = st.one_of(st.just(1), st.integers(2, 6))
+
+
+@given(
+    CRRA_SIDES,
+    CRRA_SIDES,
+    st.sampled_from(list(GameClass)),
+    st.sampled_from([PI, COND_ITERATIONS, SURVIVOR_DIST, UNDOMINATED_DIST, PURE_NASH_DIST, POINT_RAT_UNIQUE]),
+    st.floats(0.05, 1.0),
+    st.integers(0, 10**6),
 )
-def test_cardinal_batch_replays_a_tied_batch(source, cells, monkeypatch):
-    calls = []
-
-    def counted(rng, src):
-        calls.append(1)
-        return _draw_cardinal_game(rng, src)
-
-    monkeypatch.setattr(montecarlo, "_draw_cardinal_game", counted)
-    per_game = 2 * source.m * source.n
-    clean = np.random.default_rng(41).random(20 * 9 * per_game)
-    # Game 4 of the batch repeats a value.
-    tied = clean.copy()
-    tied[4 * per_game + cells[1]] = tied[4 * per_game + cells[0]]
-    batch_rng, game_rng = _ReplayStream(tied), _ReplayStream(tied)
-    got = _draw_cardinal_batch(batch_rng, source, 9)
-    assert len(calls) == 9
-    want = _per_game_stacks(game_rng, source, 9)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    # The per-game path redrew the tie, and the replay did the same.
-    assert batch_rng.state == game_rng.state > 9 * per_game
-    # Without the tie the batch is one array draw.
-    calls.clear()
-    got = _draw_cardinal_batch(_ReplayStream(clean), source, 9)
-    assert not calls
-    want = _per_game_stacks(_ReplayStream(clean), source, 9)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want))
-
-
-@pytest.mark.parametrize(
-    "source",
-    [
-        GameSource(m=3, n=4, crra_alpha=0.41),
-        GameSource(m=3, n=3, game_class=GameClass.POTENTIAL),
-        GameSource(m=3, n=3, game_class=GameClass.STRAT_COMPLEMENTS),
-    ],
-    ids=lambda s: f"{s.game_class.value}-{s.crra_alpha}",
-)
-def test_cardinal_batch_draws_other_sources_game_by_game(source, monkeypatch):
-    calls = []
-
-    def counted(rng, src):
-        calls.append(1)
-        return _draw_cardinal_game(rng, src)
-
-    monkeypatch.setattr(montecarlo, "_draw_cardinal_game", counted)
-    _draw_cardinal_batch(Seed(5).generator(), source, 9)
-    assert len(calls) == 9
-
-
-def _crra_tie_pair(alpha):
-    x = 0.6
-    while math.nextafter(x, 1.0) ** alpha != x**alpha:
-        x = math.nextafter(x, 1.0)
-    return x, math.nextafter(x, 1.0)
-
-
-@pytest.mark.parametrize(
-    "source, error",
-    [
-        (GameSource(m=3, n=4, crra_alpha=0.41), "u_row column 2 has tied payoffs"),
-        (GameSource(m=3, n=4, distribution="normal", crra_alpha=0.41), "nonnegative payoffs"),
-    ],
-)
-def test_cardinal_batch_raises_as_the_per_game_path(source, error):
-    # Game 1 of the batch gets a negative payoff (Column's, at (1, 0)), or
-    # two Row payoffs in column 2 that CRRA rounds to one value.
-    values = np.random.default_rng(43).random(1000)
-    if source.distribution == "normal":
-        values[24 + 16] = -values[24 + 16]
-    else:
-        values[24 + 2], values[24 + 6] = _crra_tie_pair(source.crra_alpha)
-    for draw in (
-        lambda rng: _draw_cardinal_batch(rng, source, 5),
-        lambda rng: _per_game_stacks(rng, source, 5),
-    ):
-        with pytest.raises(ValueError, match=error):
-            draw(_ReplayStream(values))
+@settings(max_examples=40, deadline=None)
+def test_pure_metrics_are_crra_invariant(m, n, game_class, metric, alpha, master):
+    # CRRA is strictly increasing, so no pure metric may see it.
+    if game_class.requires_square:
+        n = m
+    source = GameSource(m=m, n=n, game_class=game_class)
+    spec = ExperimentSpec(metric, source, 200, Seed(master), batch_size=64)
+    try:
+        want = run(spec)
+    except NoConditioningEventsError:
+        with pytest.raises(NoConditioningEventsError):
+            run(replace(spec, source=replace(source, crra_alpha=alpha)))
+        return
+    assert run(replace(spec, source=replace(source, crra_alpha=alpha))) == want
 
 
 def test_mixed_metrics_small():
@@ -417,21 +352,21 @@ THREE_PLAYER = GameSource(dims=(2, 2, 2))
 @pytest.mark.parametrize(
     "metric, source, want",
     [
-        (PI, BIMATRIX_3X4, Estimate(0.328, 0.006061023015960259, 6000, 1968)),
-        (COND_ITERATIONS, BIMATRIX_3X4, Estimate(3.006605691056911, 0.01945321364385296, 6000, 1968)),
-        (SURVIVOR_DIST, BIMATRIX_3X4, HistogramEstimate({1: 1968, 2: 1175, 3: 1725, 4: 1132}, 6000)),
-        (SURVIVOR_MEAN, BIMATRIX_3X4, Estimate(2.3368333333333333, 0.014473651110429881, 6000, 6000)),
-        (UNDOMINATED_MEAN, BIMATRIX_3X4, Estimate(2.888333333333333, 0.01099988550220676, 6000, 6000)),
-        (UNDOMINATED_DIST, BIMATRIX_3X4, HistogramEstimate({1: 339, 2: 1533, 3: 2587, 4: 1541}, 6000)),
-        (PURE_NASH_DIST, BIMATRIX_3X4, HistogramEstimate({0: 1401, 1: 3266, 2: 1246, 3: 87}, 6000)),
-        (POINT_RAT_UNIQUE, BIMATRIX_3X4, Estimate(0.5021666666666667, 0.006454911638377341, 6000, 3013)),
-        (SURVIVOR_DIST, BIMATRIX_2X5, HistogramEstimate({1: 2964, 2: 1284, 3: 1287, 4: 420, 5: 45}, 6000)),
-        (UNDOMINATED_DIST, BIMATRIX_2X5, HistogramEstimate({1: 1148, 2: 2578, 3: 1739, 4: 484, 5: 51}, 6000)),
-        (PURE_NASH_DIST, BIMATRIX_2X5, HistogramEstimate({0: 1229, 1: 3559, 2: 1212}, 6000)),
-        (PI, THREE_PLAYER, Estimate(0.24566666666666667, 0.005557495772311415, 6000, 1474)),
-        (SURVIVOR_MEAN, THREE_PLAYER, Estimate(1.7261666666666666, 0.005757340037627294, 6000, 6000)),
-        (UNDOMINATED_DIST, THREE_PLAYER, HistogramEstimate({1: 751, 2: 5249}, 6000)),
-        (POINT_RAT_UNIQUE, BIMATRIX_2X5, Estimate(0.5931666666666666, 0.00634192363328118, 6000, 3559)),
+        pytest.param(PI, BIMATRIX_3X4, Estimate(0.328, 0.006061023015960259, 6000, 1968), id="pi-source0-want0"),
+        pytest.param(COND_ITERATIONS, BIMATRIX_3X4, Estimate(3.006605691056911, 0.01945321364385296, 6000, 1968), id="cond-iterations-source1-want1"),
+        pytest.param(SURVIVOR_DIST, BIMATRIX_3X4, HistogramEstimate({1: 1968, 2: 1175, 3: 1725, 4: 1132}, 6000), id="survivor-dist-source2-want2"),
+        pytest.param(SURVIVOR_MEAN, BIMATRIX_3X4, Estimate(2.3368333333333333, 0.014473651110429881, 6000, 6000), id="survivor-mean-source3-want3"),
+        pytest.param(UNDOMINATED_MEAN, BIMATRIX_3X4, Estimate(2.888333333333333, 0.01099988550220676, 6000, 6000), id="undominated-mean-source4-want4"),
+        pytest.param(UNDOMINATED_DIST, BIMATRIX_3X4, HistogramEstimate({1: 339, 2: 1533, 3: 2587, 4: 1541}, 6000), id="undominated-dist-source5-want5"),
+        pytest.param(PURE_NASH_DIST, BIMATRIX_3X4, HistogramEstimate({0: 1401, 1: 3266, 2: 1246, 3: 87}, 6000), id="pure-nash-dist-source6-want6"),
+        pytest.param(POINT_RAT_UNIQUE, BIMATRIX_3X4, Estimate(0.5021666666666667, 0.006454911638377341, 6000, 3013), id="point-rat-unique-source7-want7"),
+        pytest.param(SURVIVOR_DIST, BIMATRIX_2X5, HistogramEstimate({1: 2964, 2: 1284, 3: 1287, 4: 420, 5: 45}, 6000), id="survivor-dist-source8-want8"),
+        pytest.param(UNDOMINATED_DIST, BIMATRIX_2X5, HistogramEstimate({1: 1148, 2: 2578, 3: 1739, 4: 484, 5: 51}, 6000), id="undominated-dist-source9-want9"),
+        pytest.param(PURE_NASH_DIST, BIMATRIX_2X5, HistogramEstimate({0: 1229, 1: 3559, 2: 1212}, 6000), id="pure-nash-dist-source10-want10"),
+        pytest.param(PI, THREE_PLAYER, Estimate(0.24566666666666667, 0.005557495772311415, 6000, 1474), id="pi-source11-want11"),
+        pytest.param(SURVIVOR_MEAN, THREE_PLAYER, Estimate(1.7261666666666666, 0.005757340037627294, 6000, 6000), id="survivor-mean-source12-want12"),
+        pytest.param(UNDOMINATED_DIST, THREE_PLAYER, HistogramEstimate({1: 751, 2: 5249}, 6000), id="undominated-dist-source13-want13"),
+        pytest.param(POINT_RAT_UNIQUE, BIMATRIX_2X5, Estimate(0.5931666666666666, 0.00634192363328118, 6000, 3559), id="point-rat-unique-source14-want14"),
     ],
 )
 def test_pure_metrics_at_a_fixed_seed(metric, source, want):
@@ -446,9 +381,9 @@ MIXED_PINNED = Seed(1515, 7)
 @pytest.mark.parametrize(
     "metric, want",
     [
-        (MIXED_PI, Estimate(0.405, 0.015523369479594306, 1000, 405)),
-        (MIXED_COND_ITERATIONS, Estimate(3.071604938271605, 0.043169520330634786, 1000, 405)),
-        (RATIONALIZABLE_MEAN, Estimate(1.988, 0.03080267528648778, 1000, 1000)),
+        pytest.param(MIXED_PI, Estimate(0.4, 0.015491933384829668, 1000, 400), id="mixed-pi-want0"),
+        pytest.param(MIXED_COND_ITERATIONS, Estimate(3.0525, 0.04377957289086162, 1000, 400), id="mixed-cond-iterations-want1"),
+        pytest.param(RATIONALIZABLE_MEAN, Estimate(2.0, 0.031192514694602182, 1000, 1000), id="rationalizable-mean-want2"),
     ],
 )
 def test_mixed_metrics_at_a_fixed_seed(metric, want):
@@ -458,17 +393,17 @@ def test_mixed_metrics_at_a_fixed_seed(metric, want):
 def test_solvability_chain_at_a_fixed_seed():
     source = GameSource(m=4, n=4)
     assert solvability_chain(source, 1000, MIXED_PINNED) == {
-        "pure": Estimate(0.209, 0.012857643641040918, 1000, 209),
-        "mixed": Estimate(0.307, 0.01458598642533305, 1000, 307),
-        "point_rat_unique": Estimate(0.437, 0.01568537535413163, 1000, 437),
+        "pure": Estimate(0.211, 0.012902674141432851, 1000, 211),
+        "mixed": Estimate(0.305, 0.014559361249725209, 1000, 305),
+        "point_rat_unique": Estimate(0.433, 0.015668790636165893, 1000, 433),
     }
     tallies = montecarlo._run_batches(ExperimentSpec(MIXED_PI, source, 1000, MIXED_PINNED), 1)
-    assert (tallies["lp_checks"], tallies["lp_fallbacks"]) == (2053, 0)
+    assert (tallies["lp_checks"], tallies["lp_fallbacks"]) == (2039, 0)
 
 
 def test_bound_checks_at_a_fixed_seed():
     (row,) = bound_checks([(3, 6)], 6000, PINNED)
-    assert (row.pi_hat, row.sr_less_hat) == (1205 / 6000, 2351 / 6000)
+    assert (row.pi_hat, row.sr_less_hat) == (1147 / 6000, 2320 / 6000)
 
 
 def test_sweep_rows_and_monotone_pi():

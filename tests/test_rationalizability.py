@@ -18,6 +18,7 @@ from domsolve.games import (
     ordinalize,
     rank_along,
     sample_cardinal,
+    sample_class_batch,
 )
 from domsolve.rationalizability import (
     MixedCertificate,
@@ -179,7 +180,7 @@ def test_point_rationalizable_kernel_matches_scalar():
             if m != n and game_class.requires_square:
                 continue
             rng = Seed(604).generator()
-            u_row, u_col = kernels.sample_payoff_batch(rng, 200, m, n, game_class)
+            u_row, u_col = sample_class_batch(rng, 200, m, n, game_class)
             rr, cc = rank_along(u_row, 1), rank_along(u_col, 2)
             by_ranks = kernels.point_rationalizable_counts(rr, cc)
             by_payoffs = kernels.point_rationalizable_counts(u_row, u_col)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from domsolve import _simkernels as kernels
-from domsolve import exact, montecarlo, rationalizability
+from domsolve import exact, games, montecarlo, rationalizability
 from domsolve.elimination import count_pure_nash, iterate_nplayer, metrics, undominated_nplayer
 from domsolve.games import GameClass, OrdinalBimatrix, OrdinalTensorGame, Seed, rank_along
 from domsolve.montecarlo import MIXED_PI, PI, ExperimentSpec, GameSource
@@ -52,7 +52,7 @@ def test_kernels_run_on_read_only_bitsets(monkeypatch):
     # The round loops read the bitsets in place while every game is
     # unfinished: no kernel may write into them.
     rng = np.random.default_rng(1414)
-    u_row, u_col = kernels.sample_payoff_batch(rng, 48, 3, 4, GameClass.BASELINE)
+    u_row, u_col = games.sample_class_batch(rng, 48, 3, 4)
     u_row[:, 1] = u_row[:, 0]  # a row that ties, so some games take rounds
     alive_own, alive_opp = random_masks(rng, 48, 3, 4)
 
@@ -197,14 +197,13 @@ def _same_outputs(got, want):
 @pytest.mark.parametrize("game_class", list(GameClass))
 def test_kernels_agree_on_payoffs_and_ranks(game_class):
     # The batch worker feeds the kernels float draws and the scalar-engine
-    # tests feed them ranks: both must give every output key by key. The
-    # constant-sum draws are <= 0, below a dead-action value of 0.
+    # tests feed them ranks: both must give every output key by key.
     if game_class.requires_square:
         shapes = ((1, 1), (5, 5), (17, 17))
     else:
         shapes = ((1, 4), (4, 1), (3, 5), (7, 7), (2, 20), (18, 3))
     for m, n in shapes:
-        u_row, u_col = kernels.sample_payoff_batch(np.random.default_rng(m * n), 64, m, n, game_class)
+        u_row, u_col = games.sample_class_batch(np.random.default_rng(m * n), 64, m, n, game_class)
         rr, cc = kernels.sample_rank_batch(np.random.default_rng(m * n), 64, m, n, game_class)
         assert np.array_equal(rank_along(u_row, 1), rr) and np.array_equal(rank_along(u_col, 2), cc)
         _same_outputs(kernels.eliminate_batch(u_row, u_col), kernels.eliminate_batch(rr, cc))
@@ -217,7 +216,7 @@ def test_kernels_agree_on_payoffs_and_ranks(game_class):
 
 @pytest.mark.parametrize("dims", [(1, 3, 2), (2, 1, 3), (3, 3, 1), (1, 17), (18, 2, 1), (2, 2, 2, 1)])
 def test_tensor_kernel_agrees_on_payoffs_and_ranks(dims):
-    payoffs = kernels.sample_tensor_payoff_batch(np.random.default_rng(sum(dims)), 64, dims)
+    payoffs = games.sample_tensor_batch(np.random.default_rng(sum(dims)), 64, dims)
     ranks = kernels.sample_tensor_rank_batch(np.random.default_rng(sum(dims)), 64, dims)
     for u, r in zip(payoffs, ranks):
         assert np.array_equal(rank_along(u, 1), r)
