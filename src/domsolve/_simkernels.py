@@ -1,14 +1,18 @@
 """Vectorized batch kernels backing the Monte Carlo harness.
 
-Each kernel processes a whole batch of games as numpy arrays, laid out as
-(batch, m, n) with the same conventions as the scalar game objects. Kernels
-read only the order of each player's values along the player's own axis, so
-they take the float draws of :func:`domsolve.games.sample_class_batch` or
+Every batch rule takes N players' payoffs in normal form, one
+(batch, m_0, ..., m_{N-1}) array per player, and a bimatrix ``(u_row,
+u_col)`` is its N = 2 call. Only this module knows how a rule reads that
+layout: :func:`_stacks` views player k's payoffs as a (batch, m_k, P_k)
+stack against the opponent profiles (lexicographic, first player most
+significant), and :func:`normal_form` views such stacks, as the N-player
+sampler draws them, in normal form. Kernels read only the order of each
+player's values along the player's own axis, so they take float draws or
 their ranks alike. The batched eliminator mirrors the simultaneous-deletion
 semantics of :mod:`domsolve.elimination` exactly (the test suite
-cross-checks the two game by game). The 2 x n CLT sampler draws no game at all: it samples the
-surviving column count from its exact law (:func:`records_law`), derived
-from the order statistics of a game.
+cross-checks the two game by game). The 2 x n CLT sampler draws no game at
+all: it samples the surviving column count from its exact law
+(:func:`records_law`), derived from the order statistics of a game.
 
 Pure dominance is decided on bitsets. :func:`outrank_bits` turns a player's
 (batch, profiles, K) stack into the set of own actions ranked strictly above
@@ -18,12 +22,11 @@ are packed into the smallest unsigned word holding K bits, or into
 ceil(K / 64) uint64 words. A round of :func:`_dominated` is then an AND over
 the alive profiles, an AND with the alive own actions, and a nonzero test.
 One loop, :func:`_fixpoint`, runs every batch elimination, and its rule
-decides what a round deletes: pure dominance (:func:`_eliminate`, bimatrix
-and N-player alike), never-best-response deletion
-(:func:`point_rationalizable_counts`) or mixed dominance
-(:func:`domsolve.rationalizability.rationalizable_batch`). While every game
-is unfinished a rule reads its arrays in place; later rounds gather the
-unfinished games only. Pure-Nash cells are counted apart
+decides what a round deletes: pure dominance (:func:`_eliminate`),
+never-best-response deletion (:func:`point_rationalizable_counts`) or mixed
+dominance (:func:`domsolve.rationalizability.rationalizable_batch`). While
+every game is unfinished a rule reads its arrays in place; later rounds
+gather the unfinished games only. Pure-Nash cells are counted apart
 (:func:`pure_nash_counts`), for the one metric that reads them, and
 :func:`batch_bytes` estimates a batch's peak memory for the capacity guard
 of :mod:`domsolve.montecarlo`.
@@ -179,14 +182,32 @@ def _dominated(
     return (acc[:, 0] & live[:, None, :]).any(axis=-1) & alive_own
 
 
+def _stacks(payoffs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Player k's (B, m_k, P_k) view of each normal-form payoff array (for
+    a bimatrix, ``u_row`` and Column's transpose)."""
+    return [
+        np.moveaxis(u, 1 + k, 1).reshape(len(u), u.shape[1 + k], math.prod(u.shape[1:]) // u.shape[1 + k])
+        for k, u in enumerate(payoffs)
+    ]
+
+
+def normal_form(stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Normal-form views of per-player (B, m_k, P_k) stacks, as
+    :func:`domsolve.games.sample_tensor_batch` draws them."""
+    dims = [s.shape[1] for s in stacks]
+    return [
+        np.moveaxis(s.reshape(len(s), dims[k], *dims[:k], *dims[k + 1 :]), 1, 1 + k)
+        for k, s in enumerate(stacks)
+    ]
+
+
 def _profiles_alive(alive: list[np.ndarray], player: int) -> np.ndarray:
     """(B, P) mask of the opponent profiles of ``player`` whose actions are
     all alive, profiles in lexicographic order (first player most
-    significant)."""
-    out = np.ones((alive[0].shape[0], 1), dtype=bool)
-    for j, mask in enumerate(alive):
-        if j != player:
-            out = (out[:, :, None] & mask[:, None, :]).reshape(out.shape[0], -1)
+    significant); with two players, the other player's own mask."""
+    out, *rest = [a for j, a in enumerate(alive) if j != player]
+    for mask in rest:
+        out = (out[:, :, None] & mask[:, None, :]).reshape(out.shape[0], -1)
     return out
 
 
@@ -216,16 +237,17 @@ def _fixpoint(batch: int, sizes: Sequence[int], removed) -> tuple[list[np.ndarra
     return alive, rounds
 
 
-def _eliminate(stacks: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
+def _eliminate(stacks: list[np.ndarray]) -> dict[str, list | np.ndarray]:
     """Iterated strict dominance over a batch of N-player games: the
     :func:`_fixpoint` of the pure-dominance rule.
 
-    ``stacks[k]`` (B, P_k, m_k) orders player k's actions against each
+    ``stacks[k]`` (B, m_k, P_k) orders player k's actions against each
     opponent profile (payoffs or ranks; any strides). The bitsets are built
-    once per batch. Returns the surviving masks, the first-round undominated
-    counts and the per-game round counts.
+    once per batch. Returns each player's surviving masks (``alive``),
+    undominated counts (first round) and surviving counts, the per-game round
+    counts and solvability flags.
     """
-    beaten = [outrank_bits(s) for s in stacks]
+    beaten = [outrank_bits(s.transpose(0, 2, 1)) for s in stacks]
     first = []
 
     def removed(sel, live):
@@ -239,42 +261,32 @@ def _eliminate(stacks: list[np.ndarray]) -> tuple[list[np.ndarray], list[np.ndar
             first.extend(d.shape[1] - d.sum(axis=1) for d in doms)
         return doms
 
-    alive, rounds = _fixpoint(stacks[0].shape[0], [s.shape[2] for s in stacks], removed)
-    return alive, first, rounds
+    alive, rounds = _fixpoint(stacks[0].shape[0], [s.shape[1] for s in stacks], removed)
+    survivors = [a.sum(axis=1) for a in alive]
+    solvable = np.logical_and.reduce([c == 1 for c in survivors])
+    return dict(alive=alive, survivors=survivors, undominated=first, iterations=rounds, solvable=solvable)
 
 
-def eliminate_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict[str, np.ndarray]:
-    """Simultaneous-deletion iterated elimination over a batch of (B, m, n)
-    payoffs or ranks (only their order along each player's own axis counts).
-
-    Returns undominated counts (first round), surviving counts, iteration
-    counts and solvability flags.
-    """
-    (alive_r, alive_c), (u_r, u_c), rounds = _eliminate([u_row.transpose(0, 2, 1), u_col])
-    s_r = alive_r.sum(axis=1)
-    s_c = alive_c.sum(axis=1)
-    return {
-        "u_r": u_r,
-        "u_c": u_c,
-        "s_r": s_r,
-        "s_c": s_c,
-        "iterations": rounds,
-        "solvable": (s_r == 1) & (s_c == 1),
-    }
+def eliminate_batch(*payoffs: np.ndarray) -> dict[str, list | np.ndarray]:
+    """:func:`_eliminate` from N players' normal-form payoffs or ranks; a
+    bimatrix is ``(u_row, u_col)``. Players 0's and 1's counts are also
+    under ``u_r``, ``s_r`` and ``u_c``, ``s_c`` (Row's and Column's)."""
+    out = _eliminate(_stacks(payoffs))
+    (u_r, u_c, *_), (s_r, s_c, *_) = out["undominated"], out["survivors"]
+    return out | {"u_r": u_r, "u_c": u_c, "s_r": s_r, "s_c": s_c}
 
 
-def pure_nash_counts(u_row: np.ndarray, u_col: np.ndarray) -> np.ndarray:
-    """Pure-Nash cell counts of a batch of (B, m, n) payoffs or ranks: the
-    cells where each player's action is a best response to the other's."""
-    return (
-        (u_row == u_row.max(axis=1, keepdims=True)) & (u_col == u_col.max(axis=2, keepdims=True))
-    ).sum(axis=(1, 2))
+def pure_nash_counts(*payoffs: np.ndarray) -> np.ndarray:
+    """Pure-Nash cell counts of N-player normal-form payoffs or ranks: the
+    cells where each player's action is a best response to the others'."""
+    cells = np.logical_and.reduce([u == u.max(axis=1 + k, keepdims=True) for k, u in enumerate(payoffs)])
+    return cells.sum(axis=tuple(range(1, cells.ndim)))
 
 
 def never_best_responses(stack: np.ndarray, own: np.ndarray, opp: np.ndarray) -> np.ndarray:
     """(B, K) mask of the alive own actions (``own``) that are a best
-    response to no alive opponent action (``opp``, (B, P)). ``stack``
-    (B, K, P) orders own action k against opponent action p; among tied
+    response to no alive opponent profile (``opp``, (B, P)). ``stack``
+    (B, K, P) orders own action k against opponent profile p; among tied
     best responses the lowest action counts."""
     batch, k, _ = stack.shape
     if not own.all():
@@ -288,19 +300,17 @@ def never_best_responses(stack: np.ndarray, own: np.ndarray, opp: np.ndarray) ->
     return own & ~hit[:, :k]
 
 
-def point_rationalizable_counts(
-    u_row: np.ndarray, u_col: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Surviving set sizes of iterated never-best-response deletion, from
-    (B, m, n) payoffs or ranks: the :func:`_fixpoint` of
-    :func:`never_best_responses`."""
-    views = (u_row, u_col.transpose(0, 2, 1))  # (B, own actions, opponent actions)
+def point_rationalizable_counts(*payoffs: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each player's surviving set sizes under iterated never-best-response
+    deletion, from N players' normal-form payoffs or ranks: the
+    :func:`_fixpoint` of :func:`never_best_responses`."""
+    stacks = _stacks(payoffs)
 
     def removed(sel, live):
-        return [never_best_responses(views[k][sel], live[k], live[1 - k]) for k in (0, 1)]
+        return [never_best_responses(s[sel], live[k], _profiles_alive(live, k)) for k, s in enumerate(stacks)]
 
-    (alive_r, alive_c), _ = _fixpoint(u_row.shape[0], u_row.shape[1:], removed)
-    return alive_r.sum(axis=1), alive_c.sum(axis=1)
+    alive, _ = _fixpoint(payoffs[0].shape[0], payoffs[0].shape[1:], removed)
+    return tuple(a.sum(axis=1) for a in alive)
 
 
 def records_law(n: int) -> np.ndarray:
@@ -357,16 +367,7 @@ def sample_tensor_rank_batch(
     return [rank_along(u, 1) for u in sample_tensor_batch(rng, batch, dims)]
 
 
-def eliminate_tensor_batch(
-    ranks: list[np.ndarray], dims: tuple[int, ...]
-) -> dict[str, np.ndarray]:
-    """Simultaneous-deletion elimination for batches of N-player games, from
-    per-player (batch, m_k, profiles_k) payoffs or ranks."""
-    alive, undominated, rounds = _eliminate([r.transpose(0, 2, 1) for r in ranks])
-    counts = [a.sum(axis=1) for a in alive]
-    return {
-        "survivors": counts,
-        "undominated": undominated,
-        "iterations": rounds,
-        "solvable": np.logical_and.reduce([c == 1 for c in counts]),
-    }
+def eliminate_tensor_batch(ranks: list[np.ndarray], dims: tuple[int, ...]) -> dict[str, list | np.ndarray]:
+    """:func:`_eliminate` for batches of N-player games, from per-player
+    (batch, m_k, profiles_k) payoffs or ranks."""
+    return _eliminate(ranks)

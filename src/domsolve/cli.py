@@ -273,17 +273,15 @@ def _cmd_enumerate(args) -> int:
 # simulate
 
 def _source_from_args(args) -> GameSource:
-    if args.dims:
-        dims = tuple(int(d) for d in args.dims.split(","))
-        return GameSource(dims=dims)
-    if args.m is None or args.n is None:
+    if not args.dims and (args.m is None or args.n is None):
         raise ValueError("simulate requires --m and --n (or --dims)")
     return GameSource(
-        m=args.m,
-        n=args.n,
+        m=args.m or 0,
+        n=args.n or 0,
         game_class=_CLASSES[args.game_class],
         distribution=args.dist,
         crra_alpha=args.alpha,
+        dims=tuple(int(d) for d in args.dims.split(",")) if args.dims else None,
     )
 
 

@@ -19,6 +19,7 @@ iterations. Final survivors do not depend on deletion order (see
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from operator import gt
 from typing import Sequence
@@ -236,14 +237,14 @@ def iterate_random_order(
         alive[player].remove(action)
 
 
-def count_pure_nash(game: OrdinalBimatrix) -> int:
-    """Number of cells that are mutual best responses."""
-    m, n = game.m, game.n
+def count_pure_nash(game: OrdinalBimatrix | OrdinalTensorGame) -> int:
+    """Number of cells where each player's action is a best response to the
+    others' (ranked top at their profile)."""
+    views, dims = _views(game)
+    cells = itertools.product(*map(range, dims))
     return sum(
-        1
-        for i in range(m)
-        for j in range(n)
-        if game.row_ranks[i][j] == m and game.col_ranks[i][j] == n
+        all(v[a][q] == d for v, a, (q,), d in zip(views, c, _opponent_profiles(dims, [[a] for a in c]), dims))
+        for c in cells
     )
 
 
@@ -308,10 +309,8 @@ def solvable_subgame(
     return tuple(alive[ROW]), tuple(alive[COL])
 
 
-def iterate_nplayer(game: OrdinalTensorGame) -> EliminationTrace:
-    """Simultaneous-deletion iterated elimination for N-player tensor games:
-    :func:`iterate`, under the name the N-player callers use."""
-    return iterate(game)
+# :func:`iterate`, under the name the N-player callers use.
+iterate_nplayer = iterate
 
 
 def undominated_nplayer(game: OrdinalTensorGame, player: int) -> tuple[int, ...]:
@@ -319,7 +318,5 @@ def undominated_nplayer(game: OrdinalTensorGame, player: int) -> tuple[int, ...]
     if not 0 <= player < game.player_count:
         raise ValueError(f"player must lie in 0..{game.player_count - 1}")
     views, dims = _views(game)
-    alive = [list(range(d)) for d in dims]
-    profiles = _opponent_profiles(dims, alive)[player]
-    dom = set(_dominated(views[player], alive[player], profiles))
-    return tuple(a for a in alive[player] if a not in dom)
+    dom = _pure(views, dims)([list(range(d)) for d in dims])[player]
+    return tuple(a for a in range(dims[player]) if a not in dom)

@@ -14,21 +14,21 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import _simkernels as kernels
 from . import exact, games, rationalizability
-from .games import GameClass, Seed, UNIFORM
+from .games import COL, GameClass, Seed, UNIFORM
 # The per-game reference, bound here for callers that wrap or compare it
 # (perfbench/tracing.py installs a span on montecarlo.rationalizable_sets).
 from .rationalizability import rationalizable_sets  # noqa: F401
 
-# Survivor/undominated metrics report the column player's counts (the first
-# player's, for N-player sources); iteration metrics condition on
-# solvability; rationalizable-mean is the column player's mixed-surviving
-# count averaged over all draws.
+# Every metric runs on bimatrix and N-player sources. Survivor, undominated
+# and rationalizable-mean metrics report one player's counts, that of
+# GameSource.reported: Column in a bimatrix, player 0 of N players. Iteration
+# metrics condition on (pure or mixed) solvability.
 PI = "pi"
 COND_ITERATIONS = "cond-iterations"
 SURVIVOR_DIST = "survivor-dist"
@@ -72,8 +72,8 @@ class NoConditioningEventsError(RuntimeError):
 
 @dataclass(frozen=True)
 class GameSource:
-    """What to sample: an m x n bimatrix game of a class, or an N-player
-    tensor game when ``dims`` is set."""
+    """What to sample: an m x n bimatrix game of a class, or a uniform
+    baseline N-player game when ``dims`` is set."""
 
     m: int = 0
     n: int = 0
@@ -87,6 +87,8 @@ class GameSource:
             object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
             if len(self.dims) < 2 or any(d < 1 for d in self.dims):
                 raise ValueError("dims needs >= 2 players with >= 1 action each")
+            if (self.game_class, self.distribution, self.crra_alpha) != (GameClass.BASELINE, UNIFORM, None):
+                raise ValueError("N-player sources draw uniform baseline games only")
         else:
             if self.m < 1 or self.n < 1:
                 raise ValueError("m and n must be >= 1")
@@ -97,6 +99,14 @@ class GameSource:
     @property
     def is_nplayer(self) -> bool:
         return self.dims is not None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.dims or (self.m, self.n)
+
+    @property
+    def reported(self) -> int:
+        return 0 if self.is_nplayer else COL
 
 
 @dataclass(frozen=True)
@@ -112,27 +122,15 @@ class ExperimentSpec:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.source.is_nplayer and self.metric in _MIXED_METRICS + (
-            POINT_RAT_UNIQUE,
-            PURE_NASH_DIST,
-        ):
-            raise ValueError(f"metric {self.metric} requires a two-player source")
 
     def effective_batch_size(self) -> int:
         if self.batch_size is not None:
             return self.batch_size
         if self.metric in _MIXED_METRICS:
             return 256
-        if self.source.is_nplayer:
-            dims = self.source.dims
-            driver = sum(
-                mk * mk * math.prod(d for j, d in enumerate(dims) if j != k)
-                for k, mk in enumerate(dims)
-            )
-        else:
-            m, n = self.source.m, self.source.n
-            driver = m * n * n + n * m * m
-        return max(32, min(8192, 2**23 // max(driver, 1)))
+        # sum over players of m_k^2 * P_k: each player's outrank bitsets
+        dims = self.source.shape
+        return max(32, min(8192, 2**23 // (math.prod(dims) * sum(dims))))
 
 
 @dataclass(frozen=True)
@@ -182,37 +180,33 @@ def _batch_sizes(samples: int, batch_size: int) -> list[int]:
     return [batch_size] * full + ([rem] if rem else [])
 
 
+def _all_one(counts) -> np.ndarray:
+    """Per game, whether every player's count is 1."""
+    return np.logical_and.reduce([c == 1 for c in counts])
+
+
 def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     """Integer tallies of one batch. The ``sc_*`` and ``uc_*`` keys hold the
-    reported player's survivor and undominated counts: Column's for a
-    bimatrix source, the first player's for an N-player source.
+    reported player's survivor and undominated counts.
 
     point-rat-unique gets ``unique`` alone and pure-nash-dist its pure-Nash
     histogram ``nash_hist`` alone; neither runs the elimination. Every other
     metric gets the integer sums (``solvable``, ``iter_*``, ``sc_*``,
-    ``uc_*``, and for a bimatrix ``sr_less``, the games where some row is
-    eliminated), and a histogram metric also its one ``Counter``:
+    ``uc_*``, and ``sr_less``, the games where player 0, Row in a bimatrix,
+    loses an action), and a histogram metric also its one ``Counter``:
     survivor-dist ``sc_hist``, undominated-dist ``uc_hist``."""
-    rng = spec.seed.generator(index)
     src = spec.source
-    if src.is_nplayer:
-        payoffs = games.sample_tensor_batch(rng, size, src.dims)
-        out = kernels.eliminate_tensor_batch(payoffs, src.dims)
-        survivors, undominated = out["survivors"][0], out["undominated"][0]
-        tallies = {}
-    else:
-        u_row, u_col = _draw_batch(rng, src, size)
-        if spec.metric == POINT_RAT_UNIQUE:
-            count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
-            return {"unique": int(((count_r == 1) & (count_c == 1)).sum())}
-        if spec.metric == PURE_NASH_DIST:
-            return {"nash_hist": Counter(kernels.pure_nash_counts(u_row, u_col).tolist())}
-        out = kernels.eliminate_batch(u_row, u_col)
-        survivors, undominated = out["s_c"], out["u_c"]
-        tallies = {"sr_less": int((out["s_r"] < src.m).sum())}
+    payoffs = _draw_batch(spec.seed.generator(index), src, size)
+    if spec.metric == POINT_RAT_UNIQUE:
+        return {"unique": int(_all_one(kernels.point_rationalizable_counts(*payoffs)).sum())}
+    if spec.metric == PURE_NASH_DIST:
+        return {"nash_hist": Counter(kernels.pure_nash_counts(*payoffs).tolist())}
+    out = kernels.eliminate_batch(*payoffs)
+    survivors, undominated = out["survivors"][src.reported], out["undominated"][src.reported]
     solvable = out["solvable"]
     iters = out["iterations"]
-    tallies |= {
+    tallies = {
+        "sr_less": int((out["survivors"][0] < src.shape[0]).sum()),
         "solvable": int(solvable.sum()),
         "iter_sum": int(iters[solvable].sum()),
         "iter_sq": int((iters[solvable] ** 2).sum()),
@@ -228,12 +222,12 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     return tallies
 
 
-def _draw_batch(rng: np.random.Generator, src: GameSource, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row's and Column's (size, m, n) payoffs of ``size`` games of a
-    bimatrix source, for pure and mixed batches alike."""
-    return games.sample_class_batch(
-        rng, size, src.m, src.n, src.game_class, src.distribution, src.crra_alpha
-    )
+def _draw_batch(rng: np.random.Generator, src: GameSource, size: int) -> Sequence[np.ndarray]:
+    """Each player's normal-form payoffs (size, m_0, ..., m_{N-1}) of ``size``
+    games of either source kind, for pure and mixed batches alike."""
+    if src.is_nplayer:
+        return kernels.normal_form(games.sample_tensor_batch(rng, size, src.dims))
+    return games.sample_class_batch(rng, size, src.m, src.n, src.game_class, src.distribution, src.crra_alpha)
 
 
 def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.CardinalBimatrix:
@@ -245,22 +239,22 @@ def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.Card
 def _mixed_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
     """Mixed, pure and point-rationalizable tallies of one batch, drawn as
     a pure batch is and decided together."""
-    u_row, u_col = _draw_batch(spec.seed.generator(index), spec.source, size)
-    mixed = rationalizability.rationalizable_batch(u_row, u_col)
-    rat_r, rat_c = (alive.sum(axis=1) for alive in mixed["rationalizable"])
-    solvable = (rat_r == 1) & (rat_c == 1)
+    payoffs = _draw_batch(spec.seed.generator(index), spec.source, size)
+    mixed = rationalizability.rationalizable_batch(*payoffs)
+    rat = [alive.sum(axis=1) for alive in mixed["rationalizable"]]
+    solvable = _all_one(rat)
     iters = mixed["iterations"][solvable]
+    reported = rat[spec.source.reported]
     # The kernels read the payoffs' order only; a tie in the draw stays a
     # tie in all three rules (see the class sampler's tie policy).
-    count_r, count_c = kernels.point_rationalizable_counts(u_row, u_col)
     return {
         "solvable": int(solvable.sum()),
         "iter_sum": int(iters.sum()),
         "iter_sq": int((iters**2).sum()),
-        "rat_cols_sum": int(rat_c.sum()),
-        "rat_cols_sq": int((rat_c**2).sum()),
-        "pure_solvable": int(kernels.eliminate_batch(u_row, u_col)["solvable"].sum()),
-        "prat_unique": int(((count_r == 1) & (count_c == 1)).sum()),
+        "rat_cols_sum": int(reported.sum()),
+        "rat_cols_sq": int((reported**2).sum()),
+        "pure_solvable": int(kernels.eliminate_batch(*payoffs)["solvable"].sum()),
+        "prat_unique": int(_all_one(kernels.point_rationalizable_counts(*payoffs)).sum()),
         "lp_checks": mixed["lp_checks"],
         "lp_fallbacks": mixed["lp_fallbacks"],
     }
@@ -292,23 +286,24 @@ def _merge(tallies: Iterable[dict]) -> dict:
     return total
 
 
-def _mixed_game_bytes(m: int, n: int) -> int:
-    """Upper estimate of the bytes one game adds to a mixed batch: 64 bytes
-    a payoff cell, which covers the two float64 payoff stacks with the
-    copies the rules gather from them, and, per player and own action, one
-    float64 simplex tableau with two gap-game copies."""
-    return 64 * m * n + sum(24 * k * (k + 1) * (k + o + 1) for k, o in ((m, n), (n, m)))
+def _mixed_game_bytes(dims: tuple[int, ...]) -> int:
+    """Upper estimate of the bytes one game adds to a mixed batch: 32 bytes
+    a payoff cell per player, which covers the float64 payoff stacks with
+    the copies the rules gather from them, and, per player and own action,
+    one float64 simplex tableau against the opponent profiles with two
+    gap-game copies."""
+    cells = math.prod(dims)
+    return 32 * len(dims) * cells + sum(24 * k * (k + 1) * (k + cells // k + 1) for k in dims)
 
 
 def _check_capacity(spec: ExperimentSpec) -> None:
-    src = spec.source
-    dims = src.dims if src.is_nplayer else (src.m, src.n)
+    dims = spec.source.shape
     if max(dims) > MAX_ACTIONS:
         raise exact.CapacityError(f"at most {MAX_ACTIONS} actions per player (ranks are int16)")
     batch = spec.effective_batch_size()
     need = kernels.batch_bytes(batch, dims)
     if spec.metric in _MIXED_METRICS:
-        need += batch * _mixed_game_bytes(src.m, src.n)
+        need += batch * _mixed_game_bytes(dims)
     if need > BATCH_BYTES_LIMIT:
         raise exact.CapacityError(
             f"a batch of {batch} games needs about {need / 2**30:.3g} GiB, "

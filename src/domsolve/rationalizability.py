@@ -17,11 +17,14 @@ fallback; a solver malfunction can only surface as an explicit error, never
 as a silently wrong certificate.
 
 Mixed dominance and point-rationalizability (iterated deletion of actions
-that are never a best response to any surviving pure opponent action, an
-ordinal notion on :class:`OrdinalBimatrix`) are deletion rules: the per-game
-references pass theirs to :func:`domsolve.elimination._eliminate`, and
-:func:`rationalizable_batch` passes its rule to
-:func:`domsolve._simkernels._fixpoint`, one round of a batch at a time.
+that are never a best response to any surviving pure opponent profile, an
+ordinal notion) are deletion rules: the per-game references pass theirs to
+:func:`domsolve.elimination._eliminate`, and :func:`rationalizable_batch`,
+which takes one normal-form payoff array per player of N, passes its rule
+to :func:`domsolve._simkernels._fixpoint`. With N >= 3 a mixture must win at
+every opponent profile, so the survivors are the best responses to
+correlated beliefs; rationalizability with independent beliefs differs and
+is out of scope.
 """
 
 from __future__ import annotations
@@ -31,8 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _simkernels as kernels
-from .elimination import _dominated, _eliminate, iterate
+from .elimination import _dominated, _eliminate, _opponent_profiles, _views, iterate
 from .games import COL, ROW, CardinalBimatrix, OrdinalBimatrix, _action_index, check_action_sets, ordinalize
+from .games import OrdinalTensorGame
 
 _VERIFY_SLACK = 1e-9
 _FALLBACK_VERIFY_SLACK = 1e-6  # HiGHS solves to its own 1e-7 feasibility tolerance
@@ -289,7 +293,7 @@ def is_mixed_dominated(
 
 
 def _best_response_actions(payoffs: np.ndarray, own: list[int], opp: list[int]) -> set[int]:
-    """Actions of ``own`` that are a best response to some action of ``opp``."""
+    """Actions of ``own`` that are a best response to some profile of ``opp``."""
     sub = payoffs[np.ix_(own, opp)]
     return {own[i] for i in sub.argmax(axis=0)}
 
@@ -332,35 +336,37 @@ def rationalizable_sets(
     )
 
 
-def rationalizable_batch(u_row: np.ndarray, u_col: np.ndarray) -> dict:
+def rationalizable_batch(*payoffs: np.ndarray) -> dict:
     """Iterated simultaneous deletion of mixed-dominated actions in a batch
-    of games with payoff stacks ``u_row``, ``u_col`` of shape (B, m, n).
+    of N-player games, from one (B, m_0, ..., m_{N-1}) payoff array per
+    player; a bimatrix is ``(u_row, u_col)``.
 
     Same shortcuts and verdicts as :func:`rationalizable_sets`, game by game,
     but one round of every unfinished game runs together (the rule
     :func:`_round_removals`): best responses and pure dominance are masked
     array operations, and the remaining checks of a round go to
-    :func:`solve_gap_games` in one call per (alternatives, opponent actions)
-    shape. Returns the surviving masks under ``"rationalizable"``, the
+    :func:`solve_gap_games` in one call per (alternatives, opponent
+    profiles) shape; with N >= 3 that keeps the best responses to correlated
+    beliefs. Returns the surviving masks under ``"rationalizable"``, the
     per-game round counts under ``"iterations"``, and how many checks needed
     a solver (``"lp_checks"``) and HiGHS (``"lp_fallbacks"``).
     """
-    views = (u_row, u_col.transpose(0, 2, 1))  # (B, own actions, opponent actions)
-    beaten = [kernels.outrank_bits(v.transpose(0, 2, 1)) for v in views]  # once per batch
+    stacks = kernels._stacks(payoffs)  # (B, own actions, opponent profiles)
+    beaten = [kernels.outrank_bits(s.transpose(0, 2, 1)) for s in stacks]  # once per batch
     solved = {"lp_checks": 0, "lp_fallbacks": 0}
 
     def removed(sel, live):
         out = []
-        for player in (ROW, COL):
+        for k, s in enumerate(stacks):
             gone, fallback = _round_removals(
-                views[player][sel], live[player], live[1 - player], beaten[player][sel]
+                s[sel], live[k], kernels._profiles_alive(live, k), beaten[k][sel]
             )
             out.append(gone)
             solved["lp_checks"] += fallback.size
             solved["lp_fallbacks"] += int(fallback.sum())
         return out
 
-    alive, rounds = kernels._fixpoint(u_row.shape[0], u_row.shape[1:], removed)
+    alive, rounds = kernels._fixpoint(payoffs[0].shape[0], payoffs[0].shape[1:], removed)
     return {"rationalizable": tuple(alive), "iterations": rounds, **solved}
 
 
@@ -397,16 +403,16 @@ def _round_removals(
     return gone, fallback
 
 
-def point_rationalizable_sets(
-    game: OrdinalBimatrix,
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def point_rationalizable_sets(game: OrdinalBimatrix | OrdinalTensorGame) -> tuple[tuple[int, ...], ...]:
     """Iterated simultaneous deletion of actions that are not a best response
-    to any surviving pure opponent action, until a fixpoint."""
-    views = (np.array(game.row_ranks), np.array(game.col_ranks).T)
+    to any surviving pure opponent profile, until a fixpoint."""
+    views, dims = _views(game)
+    views = [np.array(v) for v in views]
 
     def removed(alive):
-        best = [_best_response_actions(views[k], alive[k], alive[1 - k]) for k in (ROW, COL)]
-        return [[a for a in alive[k] if a not in best[k]] for k in (ROW, COL)]
+        profiles = _opponent_profiles(dims, alive)
+        best = [_best_response_actions(v, own, opp) for v, own, opp in zip(views, alive, profiles)]
+        return [[a for a in own if a not in b] for own, b in zip(alive, best)]
 
-    _, alive, _ = _eliminate(removed, [list(range(game.m)), list(range(game.n))])
-    return tuple(alive[ROW]), tuple(alive[COL])
+    _, alive, _ = _eliminate(removed, [list(range(d)) for d in dims])
+    return tuple(map(tuple, alive))

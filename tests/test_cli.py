@@ -324,6 +324,23 @@ def test_simulate_nplayer_survivor_metrics(capsys):
         assert code == 0 and parse_csv(out)
 
 
+def test_simulate_nplayer_mixed_and_best_response_metrics(capsys):
+    for metric in ("mixed-pi", "point-rat-unique", "pure-nash-dist"):
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--metric", metric, "--dims", "3,3,3",
+            "--samples", "300", "--seed", "2",
+        )
+        assert code == 0 and parse_csv(out)[0]["dims"] == "3,3,3"
+
+
+def test_simulate_nplayer_refuses_payoff_law_flags(capsys):
+    base = ("simulate", "--metric", "pi", "--dims", "2,2,2", "--samples", "200", "--seed", "1")
+    for flags in (("--dist", "normal", "--alpha", "0.5"), ("--alpha", "0.5"), ("--class", "potential")):
+        code, out, err = run_cli(capsys, *base, *flags)
+        assert (code, out) == (2, "") and "uniform baseline" in err
+
+
 def test_simulate_json_format(capsys):
     code, out, _ = run_cli(
         capsys,

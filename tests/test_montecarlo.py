@@ -54,13 +54,46 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         ExperimentSpec(PI, GameSource(m=2, n=2), 0, SEED)
     with pytest.raises(ValueError):
-        ExperimentSpec(MIXED_PI, GameSource(dims=(2, 2)), 10, SEED)
-    with pytest.raises(ValueError):
         GameSource(m=2, n=3, game_class=GameClass.SYMMETRIC)
     with pytest.raises(ValueError, match="distribution"):
         GameSource(m=3, n=3, distribution="pareto")
     with pytest.raises(ValueError, match="nonnegative payoffs"):
         GameSource(m=3, n=3, distribution="normal", crra_alpha=0.5)
+
+
+def test_nplayer_sources_refuse_payoff_law_flags():
+    for flags in ({"distribution": "normal"}, {"crra_alpha": 0.5}, {"game_class": GameClass.POTENTIAL}):
+        with pytest.raises(ValueError, match="uniform baseline"):
+            GameSource(dims=(2, 2, 2), **flags)
+
+
+@pytest.mark.parametrize("metric", montecarlo.METRICS)
+def test_every_metric_runs_on_nplayer_sources(metric):
+    # Two-player dims included: no metric is refused for a --dims source.
+    for dims in ((2, 2), (2, 3, 2)):
+        result = run(ExperimentSpec(metric, GameSource(dims=dims), 300, Seed(1616, len(dims))))
+        assert isinstance(result, (Estimate, HistogramEstimate))
+
+
+def test_nplayer_pure_nash_mean_is_one():
+    # Each of the prod(m_k) cells is an equilibrium with probability
+    # prod(1/m_k), so the mean count is 1 for any dims.
+    hist = run(ExperimentSpec(PURE_NASH_DIST, GameSource(dims=(2, 3, 4)), 20_000, Seed(1717)))
+    values = np.repeat(list(hist.counts), list(hist.counts.values()))
+    assert abs(values.mean() - 1) < 3 * values.std(ddof=1) / math.sqrt(values.size)
+
+
+def test_nplayer_mixed_pi_is_pi_on_2x2x2():
+    # With every m_k <= 2 mixed dominance is pure dominance, and a pinned
+    # batch size gives both metrics the same stream.
+    spec = ExperimentSpec(PI, GameSource(dims=(2, 2, 2)), 3000, Seed(1818), batch_size=256)
+    assert run(replace(spec, metric=MIXED_PI)) == run(spec)
+
+
+def test_nplayer_solvability_chain_is_ordered():
+    chain = solvability_chain(GameSource(dims=(3, 3, 2)), 1000, Seed(1919))
+    assert chain["pure"].mean <= chain["mixed"].mean <= chain["point_rat_unique"].mean
+    assert chain["pure"].mean < chain["point_rat_unique"].mean
 
 
 def test_pi_matches_exact():

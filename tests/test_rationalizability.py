@@ -6,7 +6,7 @@ from scipy.optimize import linprog
 
 from domsolve import _simkernels as kernels
 from domsolve import rationalizability
-from domsolve.elimination import iterate
+from domsolve.elimination import _eliminate, _opponent_profiles, iterate
 from domsolve.games import (
     COL,
     ROW,
@@ -19,6 +19,7 @@ from domsolve.games import (
     rank_along,
     sample_cardinal,
     sample_class_batch,
+    sample_tensor_batch,
 )
 from domsolve.rationalizability import (
     MixedCertificate,
@@ -288,6 +289,40 @@ def test_mixed_solvable_2x2_equals_pure():
         assert report.mixed_solvable == all(
             len(s) == 1 for s in report.pure_survivors
         )
+
+
+def _nplayer_mixed_reference(stacks, g):
+    """Iterated mixed dominance in game g of per-player (B, m_k, P_k) stacks,
+    against every alive opponent profile: the scalar fixpoint with one LP
+    per check on each player's (m_k, P_k) view, read as Row's payoffs of a
+    bimatrix. A dominating grid point must agree with the LP."""
+    from domsolve.enumeration import grid_mixed_dominance_oracle
+
+    dims = tuple(s.shape[1] for s in stacks)
+    views = [CardinalBimatrix(s[g], s[g]) for s in stacks]
+
+    def removed(alive):
+        out = []
+        for view, own, opp in zip(views, alive, _opponent_profiles(dims, alive)):
+            sets = (tuple(own), tuple(opp))
+            gone = [a for a in own if len(own) > 1 and is_mixed_dominated(view, ROW, a, *sets)]
+            assert all(a in gone for a in own if grid_mixed_dominance_oracle(view, ROW, a, *sets))
+            out.append(gone)
+        return out
+
+    rounds, alive, _ = _eliminate(removed, [list(range(d)) for d in dims])
+    return len(rounds), tuple(map(tuple, alive))
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 2), (2, 3, 4)])
+def test_nplayer_mixed_batch_matches_scalar_reference(dims):
+    stacks = sample_tensor_batch(np.random.default_rng([609, *dims]), 60, dims)
+    mixed = rationalizability.rationalizable_batch(*kernels.normal_form(stacks))
+    assert mixed["lp_checks"] > 0
+    for g in range(60):
+        rounds, alive = _nplayer_mixed_reference(stacks, g)
+        assert tuple(tuple(np.flatnonzero(a[g]).tolist()) for a in mixed["rationalizable"]) == alive
+        assert mixed["iterations"][g] == rounds
 
 
 def linprog_reference(payoffs, action, tol=None):

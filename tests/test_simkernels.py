@@ -57,13 +57,14 @@ def test_kernels_run_on_read_only_bitsets(monkeypatch):
     alive_own, alive_opp = random_masks(rng, 48, 3, 4)
 
     def outputs():
-        alive, undominated, rounds = kernels._eliminate([u_row.transpose(0, 2, 1), u_col])
+        pure = kernels._eliminate([u_row, u_col.transpose(0, 2, 1)])
         beaten = kernels.outrank_bits(u_col)
         dominated = [
             kernels._dominated(u_col, alive_own, opp, beaten) for opp in (alive_opp, np.ones_like(alive_opp))
         ]
         mixed = rationalizability.rationalizable_batch(u_row, u_col)
-        return [*alive, *undominated, rounds, *dominated, *mixed["rationalizable"], mixed["iterations"]]
+        pure_out = [*pure["alive"], *pure["undominated"], pure["iterations"]]
+        return [*pure_out, *dominated, *mixed["rationalizable"], mixed["iterations"]]
 
     want = outputs()
     build = kernels.outrank_bits
@@ -188,10 +189,113 @@ def test_tensor_batch_matches_scalar_engine_wide(dims):
     _tensor_matches(ranks, dims)
 
 
+def _alive_sets(masks, g):
+    return tuple(tuple(np.flatnonzero(a[g]).tolist()) for a in masks)
+
+
+def _rank_game(stacks, g):
+    """Game g of per-player (B, m_k, P_k) payoff stacks, in rank form."""
+    dims = tuple(s.shape[1] for s in stacks)
+    return OrdinalTensorGame(dims, [rank_along(s[g], 0).T.tolist() for s in stacks])
+
+
+def test_every_ordinal_2x2x2_game():
+    # All 16^3 = 4096 equiprobable ordinal 2x2x2 games: each player orders
+    # two actions at each of four opponent profiles. With every m_k <= 2 a
+    # mixture of the other actions is pure, so mixed survivors are the pure
+    # ones and no check needs an LP.
+    orders = np.array(list(itertools.product(((1, 2), (2, 1)), repeat=4)), dtype=np.int16)
+    per_player = orders.transpose(0, 2, 1)  # (16, m_k, P_k)
+    games_ = np.array(list(itertools.product(range(16), repeat=3)))
+    stacks = [per_player[games_[:, k]] for k in range(3)]
+    payoffs = kernels.normal_form(stacks)
+    out = kernels.eliminate_batch(*payoffs)
+    pure = out["alive"]
+    mixed = rationalizability.rationalizable_batch(*payoffs)
+    point = kernels.point_rationalizable_counts(*payoffs)
+    nash = kernels.pure_nash_counts(*payoffs)
+    assert mixed["lp_checks"] == 0
+    for g in range(4096):
+        game = OrdinalTensorGame((2, 2, 2), [s[g].T.tolist() for s in stacks])
+        trace = iterate_nplayer(game)
+        assert _alive_sets(pure, g) == _alive_sets(mixed["rationalizable"], g) == trace.surviving
+        assert out["iterations"][g] == mixed["iterations"][g] == trace.iterations
+        sets = rationalizability.point_rationalizable_sets(game)
+        assert tuple(int(c[g]) for c in point) == tuple(map(len, sets))
+        assert nash[g] == count_pure_nash(game)
+    assert Fraction(int(out["solvable"].sum()), 4096) == Fraction(121, 512)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 4), (4, 1, 3, 2), (3, 5)])
+def test_normal_form_views_the_draws(dims):
+    stacks = games.sample_tensor_batch(np.random.default_rng(len(dims)), 4, dims)
+    payoffs = kernels.normal_form(stacks)
+    rng = np.random.default_rng(0)
+    for k, (s, u, back) in enumerate(zip(stacks, payoffs, kernels._stacks(payoffs))):
+        assert u.shape == (4, *dims) and np.shares_memory(u, s)
+        assert back.strides == s.strides and np.shares_memory(back, s) and np.array_equal(back, s)
+        for _ in range(10):
+            cell = tuple(int(rng.integers(d)) for d in dims)
+            others = [(a, d) for j, (a, d) in enumerate(zip(cell, dims)) if j != k]
+            profile = np.ravel_multi_index([a for a, _ in others], [d for _, d in others])
+            assert u[(3, *cell)] == s[3, cell[k], profile]
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (4, 3), (1, 4), (4, 1), (5, 5), (3, 10), (2, 2)])
+def test_two_player_dims_match_the_bimatrix_path(m, n):
+    # A 2-player draw of the tensor sampler, as normal-form views and as
+    # contiguous bimatrix stacks: every rule gives the same output.
+    stacks = games.sample_tensor_batch(np.random.default_rng([m, n]), 128, (m, n))
+    u_row, u_col = stacks[0], np.ascontiguousarray(stacks[1].transpose(0, 2, 1))
+    payoffs = kernels.normal_form(stacks)
+    for rule in (
+        kernels.eliminate_batch,
+        kernels.pure_nash_counts,
+        kernels.point_rationalizable_counts,
+        rationalizability.rationalizable_batch,
+    ):
+        _same_outputs(rule(*payoffs), rule(u_row, u_col))
+
+
+DIMS = st.one_of(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    st.lists(st.integers(1, 3), min_size=3, max_size=4).map(tuple).filter(lambda d: np.prod(d) <= 36),
+)
+
+
+@given(DIMS, st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_point_within_mixed_within_pure_survivors(dims, seed):
+    rng = np.random.default_rng(seed)
+    if len(dims) == 2:
+        payoffs = list(games.sample_class_batch(rng, 8, *dims))
+    else:
+        payoffs = kernels.normal_form(games.sample_tensor_batch(rng, 8, dims))
+    stacks = kernels._stacks(payoffs)
+    pure = kernels.eliminate_batch(*payoffs)["alive"]
+    mixed = rationalizability.rationalizable_batch(*payoffs)["rationalizable"]
+    counts = kernels.point_rationalizable_counts(*payoffs)
+    nash = kernels.pure_nash_counts(*payoffs)
+    for g in range(8):
+        game = _rank_game(stacks, g)
+        point = rationalizability.point_rationalizable_sets(game)
+        assert tuple(int(c[g]) for c in counts) == tuple(map(len, point))
+        assert nash[g] == count_pure_nash(game)
+        for k in range(len(dims)):
+            assert set(point[k]) <= set(_alive_sets(mixed, g)[k]) <= set(_alive_sets(pure, g)[k])
+
+
 def _same_outputs(got, want):
-    assert len(got) == len(want)
-    for key in (want if isinstance(want, dict) else range(len(want))):
-        assert np.array_equal(got[key], want[key]), key
+    """Equal outputs: arrays, or lists, tuples and dicts of them, key by key."""
+    if isinstance(want, dict):
+        assert got.keys() == want.keys()
+        got, want = [got[k] for k in want], list(want.values())
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _same_outputs(g, w)
+    else:
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("game_class", list(GameClass))
@@ -294,5 +398,5 @@ def test_batch_bytes_bounds_the_batch_worker_peak(metric, source, slack):
     dims = source.dims or (source.m, source.n)
     estimate = kernels.batch_bytes(batch, dims)
     if metric == MIXED_PI:
-        estimate += batch * montecarlo._mixed_game_bytes(source.m, source.n)
+        estimate += batch * montecarlo._mixed_game_bytes(dims)
     assert peak <= estimate <= slack * peak, (peak, estimate)
