@@ -502,6 +502,8 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     if args.config:
         with open(args.config) as handle:
             config = json.load(handle)
+        if not isinstance(config, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object")
         unknown = set(config) - set(vars(args))
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")

@@ -161,7 +161,7 @@ def iteration_distribution_2xn(
     if n > exact_limit:
         log_p1 = math.lgamma(n) - _log_odd_double_factorial(n)
         p1 = math.exp(log_p1)
-        p2 = math.exp(log_p1 + math.log(n + 2 ** (n - 1) - 2))
+        p2 = math.exp(log_p1 + math.log(n + 2 ** (n - 1) - 2)) if n > 1 else 0.0
         return p1, p2, 1.0 - p1 - p2
     p1 = _pr_one_round(n)
     p2 = (n + 2 ** (n - 1) - 2) * p1
@@ -219,21 +219,10 @@ def var_survivors_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | floa
     _check_positive(n)
     if n > exact_limit:
         w = math.exp(_log_wallis(n))
-        h1 = _float_sum("h1", n)
-        h2 = _float_sum("h2", n)
-        d = _float_sum("d", n)
-        t = _float_sum("t", n)
-        return (
-            h1
-            - h2
-            + w / 2 * (4 - 2 * d - (d * d + t) - 8 * h1 + 4 * h1 * d)
-            - (w * (2 - d)) ** 2
-        )
-    w = wallis_ratio(n)
-    h1 = harmonic(n)
-    h2 = harmonic(n, 2)
-    d = _digamma_gap(n)
-    t = _trigamma_gap(n)
+        h1, h2, d, t = (_float_sum(kind, n) for kind in ("h1", "h2", "d", "t"))
+    else:
+        w, h1, h2 = wallis_ratio(n), harmonic(n), harmonic(n, 2)
+        d, t = _digamma_gap(n), _trigamma_gap(n)
     return (
         h1
         - h2
@@ -422,7 +411,7 @@ def asymptotic_diagnostics(ns: list[int]) -> list[DiagnosticsRow]:
         log_p1 = math.lgamma(n) - _log_odd_double_factorial(n)
         # 2^n sqrt(n) Pr(one round) in log space: the 2^n factors cancel.
         scaled_p1 = math.exp(log_p1 + 0.5 * math.log(n) + n * math.log(2))
-        p2 = math.exp(log_p1 + math.log(n + 2 ** (n - 1) - 2))
+        p2 = math.exp(log_p1 + math.log(n + 2 ** (n - 1) - 2)) if n > 1 else 0.0
         rows.append(
             DiagnosticsRow(
                 n=n,

@@ -122,7 +122,7 @@ class OrdinalBimatrix:
 
     @property
     def n(self) -> int:
-        return len(self.row_ranks[0])
+        return len(self.row_ranks[0]) if self.row_ranks else 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,7 +169,7 @@ class CardinalBimatrix:
 
     @property
     def n(self) -> int:
-        return len(self.u_row[0])
+        return len(self.u_row[0]) if self.u_row else 0
 
     def to_json_dict(self) -> dict:
         return {
@@ -273,13 +273,17 @@ def check_action_sets(
 
 
 def game_from_json_dict(data: dict) -> OrdinalBimatrix | CardinalBimatrix | OrdinalTensorGame:
-    kind = data.get("type")
-    if kind == "ordinal":
-        return OrdinalBimatrix(data["row_ranks"], data["col_ranks"])
-    if kind == "cardinal":
-        return CardinalBimatrix(data["u_row"], data["u_col"])
-    if kind == "tensor":
-        return OrdinalTensorGame(tuple(data["dims"]), data["ranks"])
+    """The game a JSON object describes; ValueError on any malformed input."""
+    kind = data.get("type") if isinstance(data, dict) else None
+    try:
+        if kind == "ordinal":
+            return OrdinalBimatrix(data["row_ranks"], data["col_ranks"])
+        if kind == "cardinal":
+            return CardinalBimatrix(data["u_row"], data["u_col"])
+        if kind == "tensor":
+            return OrdinalTensorGame(tuple(data["dims"]), data["ranks"])
+    except (KeyError, TypeError, OverflowError) as err:
+        raise ValueError(f"malformed {kind} game: {err!r}") from err
     raise ValueError(f"unknown game type {kind!r}")
 
 

@@ -122,6 +122,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown metric {self.metric!r}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
     def effective_batch_size(self) -> int:
         if self.batch_size is not None:

@@ -100,9 +100,10 @@ def _payoff_view(game: CardinalBimatrix, player: int) -> np.ndarray:
     return np.array(game.u_col, dtype=float).T
 
 
-def _default_tol(payoffs: np.ndarray) -> float:
-    scale = float(np.abs(payoffs).max()) if payoffs.size else 1.0
-    return 1e-9 * max(1.0, scale)
+def _default_tol(blocks: np.ndarray) -> np.ndarray:
+    """1e-9 times the largest absolute payoff of each (..., k, p) block,
+    and at least 1e-9."""
+    return 1e-9 * np.maximum(1.0, np.abs(blocks).max(axis=(-2, -1), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -344,12 +345,12 @@ def rationalizable_batch(*payoffs: np.ndarray) -> dict:
     Same shortcuts and verdicts as :func:`rationalizable_sets`, game by game,
     but one round of every unfinished game runs together (the rule
     :func:`_round_removals`): best responses and pure dominance are masked
-    array operations, and the remaining checks of a round go to
-    :func:`solve_gap_games` in one call per (alternatives, opponent
-    profiles) shape; with N >= 3 that keeps the best responses to correlated
-    beliefs. Returns the surviving masks under ``"rationalizable"``, the
-    per-game round counts under ``"iterations"``, and how many checks needed
-    a solver (``"lp_checks"``) and HiGHS (``"lp_fallbacks"``).
+    array operations, and the remaining checks of a player's round go to
+    :func:`solve_gap_games` in one call, padded to one shape; with N >= 3
+    that keeps the best responses to correlated beliefs. Returns the
+    surviving masks under ``"rationalizable"``, the per-game round counts
+    under ``"iterations"``, and how many checks needed a solver
+    (``"lp_checks"``) and HiGHS (``"lp_fallbacks"``).
     """
     stacks = kernels._stacks(payoffs)  # (B, own actions, opponent profiles)
     beaten = [kernels.outrank_bits(s.transpose(0, 2, 1)) for s in stacks]  # once per batch
@@ -376,31 +377,29 @@ def _round_removals(
     """Mixed-dominated actions among ``own`` (B, K) against ``opp`` (B, Q)
     for payoff stacks (B, K, Q), and the fallback flags of the checks that
     needed a solver. ``beaten`` holds the payoffs' outrank bitsets (ties do
-    not outrank), which decide pure dominance."""
-    actions = np.arange(payoffs.shape[1])
+    not outrank), which decide pure dominance. The remaining checks go to
+    :func:`solve_gap_games` in one call, each padded to the widest check
+    with copies of its first alternative and first opponent profile. Copies
+    change neither a gap game's value nor its scaling, nor Bland's pivots:
+    a copied column improves only when its lower-indexed original does, and
+    a copied row ties its original, which leaves first."""
     gone = kernels._dominated(payoffs.transpose(0, 2, 1), own, opp, beaten)
     games, targets = np.nonzero(kernels.never_best_responses(payoffs, own, opp) & ~gone)
-    fallback = np.zeros(games.size, dtype=bool)
     if not games.size:
-        return gone, fallback
-    live = own[:, :, None] & opp[:, None, :]
-    # _default_tol of each game's live payoff block
-    tol = 1e-9 * np.maximum(1.0, np.where(live, np.abs(payoffs), 0.0).max(axis=(1, 2)))
-    others = own[games] & (actions[None, :] != targets[:, None])
-    k = others.sum(axis=1)
-    p = opp[games].sum(axis=1)
-    shape_key = k * (opp.shape[1] + 1) + p
-    for key in np.unique(shape_key):
-        sel = np.flatnonzero(shape_key == key)
-        g, x = games[sel], targets[sel]
-        rows = np.argsort(~others[sel], axis=1, kind="stable")[:, : k[sel[0]]]
-        cols = np.argsort(~opp[g], axis=1, kind="stable")[:, : p[sel[0]]]
-        sub = payoffs[g[:, None, None], rows[:, :, None], cols[:, None, :]]
-        target = payoffs[g[:, None], x[:, None], cols]
-        solution = solve_gap_games(sub - target[:, None, :])
-        gone[g, x] = solution.lower > tol[g]
-        fallback[sel] = solution.fallback
-    return gone, fallback
+        return gone, np.zeros(0, dtype=bool)
+    rows = _padded(own[games] & (np.arange(own.shape[1]) != targets[:, None]))
+    cols = _padded(opp[games])
+    sub = payoffs[games[:, None, None], rows[:, :, None], cols[:, None, :]]
+    solution = solve_gap_games(sub - payoffs[games[:, None], targets[:, None], cols][:, None, :])
+    tol = _default_tol(np.where(own[:, :, None] & opp[:, None, :], payoffs, 0.0))
+    gone[games, targets] = solution.lower > tol[games]
+    return gone, solution.fallback
+
+
+def _padded(mask: np.ndarray) -> np.ndarray:
+    """Each row's set indices in order, padded to the longest with the first."""
+    order = np.argsort(~mask, axis=1, kind="stable")[:, : mask.sum(axis=1).max()]
+    return np.where(np.take_along_axis(mask, order, axis=1), order, order[:, :1])
 
 
 def point_rationalizable_sets(game: OrdinalBimatrix | OrdinalTensorGame) -> tuple[tuple[int, ...], ...]:

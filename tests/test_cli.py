@@ -379,6 +379,25 @@ def test_game_trace_closes_the_game_file(tmp_path):
     assert "ResourceWarning" not in done.stderr
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"type": "ordinal"}',
+        "[1, 2]",
+        "null",
+        '{"type": "cardinal", "u_row": [], "u_col": []}',
+        '{"type": "ordinal", "row_ranks": [1, 2], "col_ranks": [[1], [1]]}',
+        '{"type": "ordinal", "row_ranks": [[1e400]], "col_ranks": [[1]]}',
+        '{"type": "tensor", "dims": 2, "ranks": []}',
+    ],
+)
+def test_game_trace_rejects_malformed_json(capsys, tmp_path, text):
+    game_path = tmp_path / "g.json"
+    game_path.write_text(text)
+    code, out, err = run_cli(capsys, "game", "trace", "--game", str(game_path))
+    assert code == 2 and not out and err.startswith("error:")
+
+
 def test_game_generate_cardinal_with_alpha(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -401,6 +420,13 @@ def test_diagnose_asymptotics(capsys):
     rows = parse_csv(out)
     assert code == 0 and len(rows) == 3
     assert float(rows[0]["sqrt_n_solvable"]) == pytest.approx(1.1262, abs=1e-3)
+
+
+def test_diagnose_asymptotics_from_n1(capsys):
+    code, out, _ = run_cli(capsys, "diagnose", "asymptotics", "--n", "1..3")
+    rows = parse_csv(out)
+    assert code == 0 and [r["n"] for r in rows] == ["1", "2", "3"]
+    assert float(rows[0]["sqrt_n_pr_two_rounds"]) == 0.0
 
 
 def test_diagnose_clt(capsys):
@@ -463,6 +489,23 @@ def test_config_precedence(capsys, tmp_path):
         "simulate", "--metric", "pi", "--m", "2", "--n", "3",
     )
     assert code == 2 and "bogus_key" in err
+    config.write_text("5")
+    code, _, err = run_cli(
+        capsys,
+        "--config", str(config),
+        "simulate", "--metric", "pi", "--m", "2", "--n", "3",
+    )
+    assert code == 2 and "JSON object" in err
+
+
+@pytest.mark.parametrize("size", ["0", "-7"])
+def test_simulate_rejects_batch_size_below_one(capsys, size):
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--metric", "pi", "--m", "3", "--n", "3", "--samples", "100",
+        "--seed", "1", "--batch-size", size,
+    )
+    assert code == 2 and not out and "batch_size must be >= 1" in err
 
 
 def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from domsolve import _simkernels as kernels
 from domsolve.elimination import (
@@ -30,6 +30,7 @@ from domsolve.games import (
     ordinalize,
     sample_baseline,
     sample_cardinal,
+    sample_class,
     sample_nplayer,
 )
 
@@ -156,6 +157,19 @@ def test_order_independence_sample():
         for g in random_games(150, m, n, 23 + m * 10 + n):
             expected = iterate(g).surviving
             assert iterate_random_order(g, rng) == expected
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(list(GameClass)), st.integers(0, 2**32 - 1))
+@example(1, 6, GameClass.STRAT_COMPLEMENTS, 3)
+@example(6, 1, GameClass.BASELINE, 4)
+@settings(max_examples=60, deadline=None)
+def test_order_independence_property(m, n, game_class, master):
+    if game_class.requires_square:
+        n = m
+    g = ordinalize(sample_class(game_class, m, n, Seed(master)))
+    rng = np.random.default_rng(master)
+    for _ in range(3):
+        assert iterate_random_order(g, rng) == iterate(g).surviving
 
 
 def test_crra_does_not_change_elimination():

@@ -290,6 +290,17 @@ def test_diagnostics_match_exact_at_small_n():
     )
 
 
+def test_log_space_iteration_law_at_n1():
+    # Pr(2 rounds) = (n + 2^(n-1) - 2) Pr(1) is 0 at n = 1, where its log
+    # would be log(0); both log-space paths return it as 0.
+    p1, p2, p3 = iteration_distribution_2xn(1, exact_limit=0)
+    assert p2 == 0.0
+    assert p1 == pytest.approx(1.0, rel=1e-12) and p3 == pytest.approx(0.0, abs=1e-12)
+    row = asymptotic_diagnostics([1])[0]
+    assert row.sqrt_n_pr_two_rounds == 0.0
+    assert row.sqrt_n_pr_not_three == pytest.approx(1.0, rel=1e-12)
+
+
 def test_exact_caches_are_thread_safe():
     def probe(k):
         return (

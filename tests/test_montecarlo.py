@@ -240,6 +240,9 @@ def _batch_matches_scalar(source, seed, size):
         GameSource(m=5, n=2),
         GameSource(m=1, n=4),
         GameSource(m=4, n=1),
+        # one round of these holds checks of several shapes
+        GameSource(m=3, n=10),
+        GameSource(m=8, n=8, game_class=GameClass.STRAT_COMPLEMENTS),
     ],
     ids=lambda s: f"{s.m}x{s.n}-{s.game_class.value}-{s.distribution}-{s.crra_alpha}",
 )

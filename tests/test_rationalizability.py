@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from domsolve import _simkernels as kernels
@@ -24,6 +25,7 @@ from domsolve.games import (
 from domsolve.rationalizability import (
     MixedCertificate,
     _default_tol,
+    _padded,
     _payoff_view,
     is_mixed_dominated,
     point_rationalizable_sets,
@@ -413,3 +415,37 @@ def test_gap_solver_fallback_agrees(monkeypatch):
     assert np.allclose(fast.lower, slow.lower, atol=1e-7)
     assert ((fast.lower > 1e-9) == (slow.lower > 1e-9)).all()
     assert (slow.lower <= slow.upper + 1e-6).all()
+
+
+def test_padded_indices():
+    mask = np.array([[0, 1, 0, 1, 1], [1, 0, 0, 0, 0], [0, 0, 1, 1, 0]], dtype=bool)
+    assert _padded(mask).tolist() == [[1, 3, 4], [0, 0, 0], [2, 3, 2]]
+    full = np.array([[1, 0, 1], [0, 1, 1]], dtype=bool)
+    assert _padded(full).tolist() == [[0, 2], [1, 2]]  # no padding at all
+    assert _padded(np.array([[0, 0, 1]], dtype=bool)).tolist() == [[2]]
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_padding_keeps_gap_game_solutions(k, p, extra_k, extra_p, integer, seed):
+    # Copies of a gap game's first alternative and first opponent column
+    # change neither its value nor its [1, 3] scaling; integer payoffs make
+    # ties in the ratio test and in the certificates.
+    rng = np.random.default_rng(seed)
+    shape = (16, k, p)
+    gaps = rng.integers(-3, 4, shape).astype(float) if integer else rng.standard_normal(shape)
+    rows = np.r_[np.arange(k), np.zeros(extra_k, dtype=int)]
+    cols = np.r_[np.arange(p), np.zeros(extra_p, dtype=int)]
+    plain, padded = solve_gap_games(gaps), solve_gap_games(gaps[:, rows][:, :, cols])
+    scale = np.maximum(1.0, np.abs(gaps).max(axis=(1, 2)))
+    tol = _default_tol(gaps)
+    assert ((plain.lower > tol) == (padded.lower > tol)).all()
+    assert (np.abs(plain.lower - padded.lower) <= 1e-12 * scale).all()
+    assert not padded.fallback.any()
