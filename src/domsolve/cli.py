@@ -28,12 +28,15 @@ from . import __version__, elimination, enumeration, exact, montecarlo
 from .exact import CapacityError
 from .games import (
     GameClass,
+    OrdinalBimatrix,
     Seed,
     UNIFORM,
+    apply_crra,
     game_from_json_dict,
     ordinalize,
-    sample_baseline,
+    rank_along,
     sample_class,
+    sample_class_batch,
     sample_nplayer,
 )
 from .montecarlo import ExperimentSpec, GameSource, HistogramEstimate
@@ -376,20 +379,39 @@ def _cmd_diagnose(args) -> int:
 # --------------------------------------------------------------------------
 # game
 
+# Peak bytes per payoff of ``game generate``, above the measured peaks: a
+# cardinal payoff about 90 (the draw, a Python float in a list, JSON text),
+# an ordinal one about 50.
+_GENERATE_BYTES_PER_PAYOFF = 96
+
+
+def _generated_game(args):
+    """The game ``game generate`` prints, drawn from the source its flags
+    give; refused before drawing when it would not fit in memory. Returning
+    frees the draw's arrays before the JSON text is built."""
+    source = _source_from_args(args)
+    need = _GENERATE_BYTES_PER_PAYOFF * len(source.shape) * math.prod(source.shape)
+    if need > montecarlo.BATCH_BYTES_LIMIT:
+        raise CapacityError(
+            f"a {'x'.join(map(str, source.shape))} game needs about {need / 2**30:.3g} GiB, "
+            f"above the {montecarlo.BATCH_BYTES_LIMIT / 2**30:g} GiB limit"
+        )
+    seed = _seed_from_args(args)
+    if source.is_nplayer:
+        return sample_nplayer(source.dims, seed)
+    if args.cardinal or source.game_class is not GameClass.BASELINE:
+        game = sample_class(source.game_class, source.m, source.n, seed, source.distribution)
+        return game if source.crra_alpha is None else apply_crra(game, source.crra_alpha)
+    # the ranks of a batch of one, as sample_baseline draws them
+    u_row, u_col = sample_class_batch(
+        seed.generator(), 1, source.m, source.n, distribution=source.distribution, crra_alpha=source.crra_alpha
+    )
+    return OrdinalBimatrix(rank_along(u_row[0], 0).tolist(), rank_along(u_col[0], 1).tolist())
+
+
 def _cmd_game(args) -> int:
     if args.what == "generate":
-        seed = _seed_from_args(args)
-        if args.dims:
-            game = sample_nplayer(tuple(int(d) for d in args.dims.split(",")), seed)
-        elif args.game_class != "baseline" or args.cardinal:
-            game = sample_class(_CLASSES[args.game_class], args.m, args.n, seed, args.dist)
-            if args.alpha is not None:
-                from .games import apply_crra
-
-                game = apply_crra(game, args.alpha)
-        else:
-            game = sample_baseline(args.m, args.n, seed)
-        sys.stdout.write(json.dumps(game.to_json_dict()) + "\n")
+        sys.stdout.write(json.dumps(_generated_game(args).to_json_dict()) + "\n")
         return 0
     if args.what == "trace":
         if args.game == "-":

@@ -15,15 +15,22 @@ and digamma/polygamma values at half-integers through
 so no floating-point Gamma evaluation is ever needed.
 
 Exact computation is capped at ``EXACT_LIMIT`` (big-integer growth): scalar
-functions return a ``float`` computed in log space beyond the cap (the
-return type is the "approximate" flag), while distribution-valued functions
-raise :class:`CapacityError`. Pass a larger ``exact_limit`` to force exact
-values.
+functions return a ``float`` beyond the cap (the return type is the
+"approximate" flag), while distribution-valued functions raise
+:class:`CapacityError`. Pass a larger ``exact_limit`` to force exact
+values. Each law is written once and picks its arithmetic at one branch
+point: the Wallis ratio and the iteration law come from ``lgamma`` in log
+space, and the harmonic and half-integer polygamma sums come from one
+running-sum memo that adds each term p/q as a ``Fraction`` or as a
+correctly rounded ``p / q``. ``mean_undominated`` runs one recurrence in
+either arithmetic and stays exact only while both n and (m - 1) n are at
+most the cap, since its exact cost grows about as (m n)^2.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,10 +41,13 @@ EULER_GAMMA = 0.5772156649015329
 
 _lock = threading.Lock()
 _stirling_last: list[int] = [1]  # the latest row n, s(n, 0..n); row 0 is [1]
-_harmonic_cache: dict[int, list[Fraction]] = {}
-_digamma_gap_cache: list[Fraction] = [Fraction(0)]
-_trigamma_gap_cache: list[Fraction] = [Fraction(0)]
-_mean_undominated_cache: dict[int, list[Fraction]] = {1: [Fraction(1)]}
+_running_sums: dict[tuple, list] = {}  # by (series, exact); see _running_sum
+_mean_undominated_cache: dict[int, list[Fraction]] = {}
+_ZERO_ONE = {True: (Fraction(0), Fraction(1)), False: (0.0, 1.0)}
+
+_H1, _H2 = (1, 1, 0, 1), (1, 1, 0, 2)  # H_n and H_n^(2)
+_DIGAMMA = (2, 2, -1, 1)  # psi(n + 1/2) - psi(1/2)
+_TRIGAMMA = (-4, 2, -1, 2)  # psi'(n + 1/2) - psi'(1/2), negative
 
 
 class CapacityError(ValueError):
@@ -74,36 +84,24 @@ def stirling_row(n: int, exact_limit: int = EXACT_LIMIT) -> list[int]:
         return row[1:]
 
 
+def _running_sum(series: tuple[int, int, int, int], n: int, exact: bool) -> Fraction | float:
+    """sum_{k<=n} c / (a k + b)^e for ``series`` (c, a, b, e), term by term
+    in ``Fraction`` or in float (int / int division is correctly rounded,
+    so a float term equals ``c / float((a k + b)^e)``)."""
+    c, a, b, e = series
+    term = Fraction if exact else operator.truediv
+    with _lock:
+        sums = _running_sums.setdefault((series, exact), [_ZERO_ONE[exact][0]])
+        while len(sums) <= n:
+            sums.append(sums[-1] + term(c, (a * len(sums) + b) ** e))
+        return sums[n]
+
+
 def harmonic(n: int, order: int = 1) -> Fraction:
     """Generalized harmonic number: sum of 1/k**order for k = 1..n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    with _lock:
-        cache = _harmonic_cache.setdefault(order, [Fraction(0)])
-        while len(cache) <= n:
-            k = len(cache)
-            cache.append(cache[-1] + Fraction(1, k**order))
-        return cache[n]
-
-
-def _digamma_gap(n: int) -> Fraction:
-    """psi(n + 1/2) - psi(1/2), a rational number."""
-    with _lock:
-        while len(_digamma_gap_cache) <= n:
-            k = len(_digamma_gap_cache)
-            _digamma_gap_cache.append(_digamma_gap_cache[-1] + Fraction(2, 2 * k - 1))
-        return _digamma_gap_cache[n]
-
-
-def _trigamma_gap(n: int) -> Fraction:
-    """psi'(n + 1/2) - psi'(1/2), a rational number (negative)."""
-    with _lock:
-        while len(_trigamma_gap_cache) <= n:
-            k = len(_trigamma_gap_cache)
-            _trigamma_gap_cache.append(
-                _trigamma_gap_cache[-1] - Fraction(4, (2 * k - 1) ** 2)
-            )
-        return _trigamma_gap_cache[n]
+    return _running_sum((1, 1, 0, order), n, True)
 
 
 def odd_double_factorial(n: int) -> int:
@@ -120,8 +118,10 @@ def wallis_ratio(n: int) -> Fraction:
     return Fraction(odd_double_factorial(n), math.factorial(n) * 2**n)
 
 
-def _log_wallis(n: int) -> float:
-    return math.lgamma(n + 0.5) - math.lgamma(n + 1) - math.lgamma(0.5)
+def _wallis(n: int, exact: bool) -> Fraction | float:
+    if exact:
+        return wallis_ratio(n)
+    return math.exp(math.lgamma(n + 0.5) - math.lgamma(n + 1) - math.lgamma(0.5))
 
 
 def solvable_probability_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | float:
@@ -129,9 +129,7 @@ def solvable_probability_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction
     exactly (2n-1)!! / (2^(n-1) n!), twice the Wallis ratio. Strictly
     decreasing in n, asymptotically 2 / sqrt(pi n)."""
     _check_positive(n)
-    if n > exact_limit:
-        return 2.0 * math.exp(_log_wallis(n))
-    return 2 * wallis_ratio(n)
+    return 2 * _wallis(n, n <= exact_limit)
 
 
 def undominated_distribution_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> list[Fraction]:
@@ -148,6 +146,11 @@ def _pr_one_round(n: int) -> Fraction:
     return Fraction(math.factorial(n - 1), odd_double_factorial(n))
 
 
+def _log_odd_double_factorial(n: int) -> float:
+    # (2n)! = (2n)!! (2n-1)!! = 2^n n! (2n-1)!!
+    return math.lgamma(2 * n + 1) - n * math.log(2) - math.lgamma(n + 1)
+
+
 def iteration_distribution_2xn(
     n: int, exact_limit: int = EXACT_LIMIT
 ) -> tuple[Fraction, Fraction, Fraction] | tuple[float, float, float]:
@@ -158,19 +161,16 @@ def iteration_distribution_2xn(
     the remainder.
     """
     _check_positive(n)
-    if n > exact_limit:
+    if n <= exact_limit:
+        p1 = _pr_one_round(n)
+        p2 = (n + 2 ** (n - 1) - 2) * p1
+    else:
+        # lgamma's rounding puts Pr(1) above 1 at n = 1 and Pr(1) + Pr(2)
+        # above 1 at n = 2, so each is capped at what is left.
         log_p1 = math.lgamma(n) - _log_odd_double_factorial(n)
-        p1 = math.exp(log_p1)
-        p2 = math.exp(log_p1 + math.log(n + 2 ** (n - 1) - 2)) if n > 1 else 0.0
-        return p1, p2, 1.0 - p1 - p2
-    p1 = _pr_one_round(n)
-    p2 = (n + 2 ** (n - 1) - 2) * p1
+        p1 = min(1.0, math.exp(log_p1))
+        p2 = min(1.0 - p1, math.exp(log_p1 + math.log(n + 2 ** (n - 1) - 2))) if n > 1 else 0.0
     return p1, p2, 1 - p1 - p2
-
-
-def _log_odd_double_factorial(n: int) -> float:
-    # (2n)! = (2n)!! (2n-1)!! = 2^n n! (2n-1)!!
-    return math.lgamma(2 * n + 1) - n * math.log(2) - math.lgamma(n + 1)
 
 
 def mean_iterations_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | float:
@@ -207,22 +207,17 @@ def mean_survivors_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | flo
     """Expected number of surviving column actions:
     W(n) (2 - (psi(n+1/2) - psi(1/2))) + H_n, asymptotically ln n + gamma."""
     _check_positive(n)
-    if n > exact_limit:
-        w = math.exp(_log_wallis(n))
-        return w * (2.0 - _float_sum("d", n)) + _float_sum("h1", n)
-    return wallis_ratio(n) * (2 - _digamma_gap(n)) + harmonic(n)
+    exact = n <= exact_limit
+    return _wallis(n, exact) * (2 - _running_sum(_DIGAMMA, n, exact)) + _running_sum(_H1, n, exact)
 
 
 def var_survivors_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | float:
     """Variance of the number of surviving column actions (exact polygamma
     form), asymptotically ln n + gamma - pi^2/6."""
     _check_positive(n)
-    if n > exact_limit:
-        w = math.exp(_log_wallis(n))
-        h1, h2, d, t = (_float_sum(kind, n) for kind in ("h1", "h2", "d", "t"))
-    else:
-        w, h1, h2 = wallis_ratio(n), harmonic(n), harmonic(n, 2)
-        d, t = _digamma_gap(n), _trigamma_gap(n)
+    exact = n <= exact_limit
+    w = _wallis(n, exact)
+    h1, h2, d, t = (_running_sum(s, n, exact) for s in (_H1, _H2, _DIGAMMA, _TRIGAMMA))
     return (
         h1
         - h2
@@ -231,63 +226,29 @@ def var_survivors_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | floa
     )
 
 
-# Cumulative float sums used by the log-space fallbacks and the diagnostics,
-# by the increment of their k-th term: H_n, H_n^(2), psi(n + 1/2) - psi(1/2)
-# and psi'(n + 1/2) - psi'(1/2).
-_FLOAT_TERMS = {
-    "h1": lambda k: 1.0 / k,
-    "h2": lambda k: 1.0 / (k * k),
-    "d": lambda k: 2.0 / (2 * k - 1),
-    "t": lambda k: -4.0 / (2 * k - 1) ** 2,
-}
-_float_sums_lock = threading.Lock()
-_float_sums: dict[str, list[float]] = {kind: [0.0] for kind in _FLOAT_TERMS}
-
-
-def _float_sum(kind: str, n: int) -> float:
-    term = _FLOAT_TERMS[kind]
-    with _float_sums_lock:
-        cache = _float_sums[kind]
-        while len(cache) <= n:
-            cache.append(cache[-1] + term(len(cache)))
-        return cache[n]
-
-
 def mean_undominated(m: int, n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | float:
     """Expected number of undominated column actions of a random m x n game,
     via the recurrence E(m, n) = sum_{k<=n} E(m-1, k) / k with E(1, n) = 1.
 
     Strictly increasing in each argument for m, n >= 2; E(2, n) = H_n and
     E(3, n) = (H_n^2 + H_n^(2)) / 2. No closed form is known for m >= 4.
+    Exact while n and (m - 1) n are at most ``exact_limit``; a float beyond.
     """
     _check_positive(m, "m")
     _check_positive(n)
-    if n > exact_limit:
-        prev = [1.0] * (n + 1)  # E(1, k) = 1
-        if m == 1:
-            return 1.0
-        for _ in range(2, m + 1):
-            row = [0.0] * (n + 1)
-            acc = 0.0
-            for k in range(1, n + 1):
-                acc += prev[k] / k
-                row[k] = acc
-            prev = row
-        return prev[n]
+    exact = max(m - 1, 1) * n <= exact_limit
+    zero, one = _ZERO_ONE[exact]
     with _lock:
-        for mm in range(1, m + 1):
-            row = _mean_undominated_cache.setdefault(
-                mm, [Fraction(1) if mm == 1 else Fraction(0)]
-            )
-            if mm == 1:
-                while len(row) <= n:
-                    row.append(Fraction(1))
-                continue
-            prev_row = _mean_undominated_cache[mm - 1]
+        prev = [one] * (n + 1)  # E(1, k)
+        for mm in range(2, m + 1):
+            # Only exact rows are cached; a float row can hold 10^6 entries,
+            # so the float loop keeps two rows alive.
+            row = _mean_undominated_cache.setdefault(mm, [zero]) if exact else [zero]
             while len(row) <= n:
                 k = len(row)
-                row.append(row[-1] + prev_row[k] / k)
-        return _mean_undominated_cache[m][n]
+                row.append(row[-1] + prev[k] / k)
+            prev = row
+        return prev[n]
 
 
 def undominated_mean_bounds(m: int, n: int) -> tuple[float, float]:
@@ -403,22 +364,21 @@ class DiagnosticsRow:
 
 
 def asymptotic_diagnostics(ns: list[int]) -> list[DiagnosticsRow]:
-    """Evaluate the scaled quantities of :class:`DiagnosticsRow` for each n."""
+    """Evaluate the scaled quantities of :class:`DiagnosticsRow` for each n
+    from the float laws (``exact_limit=0``)."""
     rows = []
     for n in ns:
-        _check_positive(n)
+        p1, p2, _ = iteration_distribution_2xn(n, exact_limit=0)
         sqrt_n = math.sqrt(n)
-        log_p1 = math.lgamma(n) - _log_odd_double_factorial(n)
         # 2^n sqrt(n) Pr(one round) in log space: the 2^n factors cancel.
-        scaled_p1 = math.exp(log_p1 + 0.5 * math.log(n) + n * math.log(2))
-        p2 = math.exp(log_p1 + math.log(n + 2 ** (n - 1) - 2)) if n > 1 else 0.0
+        log_p1 = math.lgamma(n) - _log_odd_double_factorial(n)
         rows.append(
             DiagnosticsRow(
                 n=n,
-                sqrt_n_solvable=sqrt_n * 2.0 * math.exp(_log_wallis(n)),
-                scaled_pr_one_round=scaled_p1,
+                sqrt_n_solvable=sqrt_n * solvable_probability_2xn(n, exact_limit=0),
+                scaled_pr_one_round=math.exp(log_p1 + 0.5 * math.log(n) + n * math.log(2)),
                 sqrt_n_pr_two_rounds=sqrt_n * p2,
-                sqrt_n_pr_not_three=sqrt_n * (math.exp(log_p1) + p2),
+                sqrt_n_pr_not_three=sqrt_n * (p1 + p2),
                 mean_survivors_minus_log=mean_survivors_2xn(n, exact_limit=0)
                 - math.log(n),
                 var_survivors_minus_log=var_survivors_2xn(n, exact_limit=0)

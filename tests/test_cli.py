@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from domsolve import exact, games, montecarlo
+from domsolve import cli, exact, games, montecarlo
 from domsolve.cli import _EXACT_TABLES, _decimal, main
 
 
@@ -415,6 +415,43 @@ def test_game_generate_nplayer(capsys):
     assert data["type"] == "tensor" and data["dims"] == [2, 2, 2]
 
 
+def test_game_generate_draws_from_the_source(capsys):
+    # Default flags print the ranks sample_baseline draws; a baseline
+    # ordinal game honours --dist, and the payoff-law and class flags are
+    # refused where simulate refuses them.
+    code, out, _ = run_cli(capsys, "game", "generate", "--m", "3", "--n", "4", "--seed", "5")
+    assert code == 0 and json.loads(out) == games.sample_baseline(3, 4, games.Seed(5)).to_json_dict()
+    code, out, _ = run_cli(capsys, "game", "generate", "--m", "3", "--n", "4", "--seed", "5", "--dist", "normal")
+    u_row, u_col = games.sample_class_batch(games.Seed(5).generator(), 1, 3, 4, distribution="normal")
+    want = games.OrdinalBimatrix(games.rank_along(u_row[0], 0).tolist(), games.rank_along(u_col[0], 1).tolist())
+    assert code == 0 and json.loads(out) == want.to_json_dict()
+    for flags in (
+        ("--dims", "2,2,2", "--dist", "normal", "--alpha", "0.5"),
+        ("--dims", "2,2,2", "--dist", "normal"),
+        ("--dims", "2,2", "--class", "symmetric"),
+        ("--m", "2", "--n", "2", "--dist", "normal", "--alpha", "0.5"),
+        ("--m", "2", "--n", "2", "--alpha", "2"),
+    ):
+        code, out, err = run_cli(capsys, "game", "generate", *flags)
+        assert (code, out) == (2, "") and err.startswith("error:"), flags
+
+
+def test_game_generate_capacity_guard(capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("drew past the guard")
+
+    for name in ("sample_class", "sample_class_batch", "sample_nplayer"):
+        monkeypatch.setattr(cli, name, never)
+    for flags in (("--m", "40000", "--n", "40000"), ("--dims", "400,400,400"), ("--m", "3000", "--n", "3000", "--cardinal")):
+        code, out, err = run_cli(capsys, "game", "generate", *flags)
+        assert (code, out) == (3, "") and "GiB" in err, flags
+    # 2000 x 2000 (a measured peak of 0.75 GB as a cardinal game) passes the guard.
+    small = games.sample_class(games.GameClass.BASELINE, 2, 2, games.Seed(0))
+    monkeypatch.setattr(cli, "sample_class", lambda *args: small)
+    code, out, _ = run_cli(capsys, "game", "generate", "--m", "2000", "--n", "2000", "--cardinal")
+    assert code == 0 and json.loads(out) == small.to_json_dict()
+
+
 def test_diagnose_asymptotics(capsys):
     code, out, _ = run_cli(capsys, "diagnose", "asymptotics", "--n", "64..66")
     rows = parse_csv(out)
@@ -427,6 +464,7 @@ def test_diagnose_asymptotics_from_n1(capsys):
     rows = parse_csv(out)
     assert code == 0 and [r["n"] for r in rows] == ["1", "2", "3"]
     assert float(rows[0]["sqrt_n_pr_two_rounds"]) == 0.0
+    assert [r["sqrt_n_pr_not_three"] for r in rows[:2]] == ["1.0", repr(math.sqrt(2))]
 
 
 def test_diagnose_clt(capsys):

@@ -1,4 +1,5 @@
 import math
+import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -292,13 +293,19 @@ def test_diagnostics_match_exact_at_small_n():
 
 def test_log_space_iteration_law_at_n1():
     # Pr(2 rounds) = (n + 2^(n-1) - 2) Pr(1) is 0 at n = 1, where its log
-    # would be log(0); both log-space paths return it as 0.
-    p1, p2, p3 = iteration_distribution_2xn(1, exact_limit=0)
-    assert p2 == 0.0
-    assert p1 == pytest.approx(1.0, rel=1e-12) and p3 == pytest.approx(0.0, abs=1e-12)
-    row = asymptotic_diagnostics([1])[0]
-    assert row.sqrt_n_pr_two_rounds == 0.0
-    assert row.sqrt_n_pr_not_three == pytest.approx(1.0, rel=1e-12)
+    # would be log(0). lgamma's rounding would put Pr(1) above 1 at n = 1
+    # and Pr(1) + Pr(2) above 1 at n = 2; the law stays in [0, 1] and the
+    # diagnostics read it.
+    assert iteration_distribution_2xn(1, exact_limit=0) == (1.0, 0.0, 0.0)
+    p1, p2, p3 = iteration_distribution_2xn(2, exact_limit=0)
+    assert p3 == 0.0 and p1 + p2 == 1.0
+    assert (p1, p2) == pytest.approx((1 / 3, 2 / 3), rel=1e-15)
+    one, two = asymptotic_diagnostics([1, 2])
+    assert one.sqrt_n_pr_two_rounds == 0.0
+    assert one.sqrt_n_pr_not_three == 1.0
+    assert two.sqrt_n_pr_not_three == math.sqrt(2)
+    for n in range(1, 400):
+        assert all(0.0 <= p <= 1.0 for p in iteration_distribution_2xn(n, exact_limit=0)), n
 
 
 def test_exact_caches_are_thread_safe():
@@ -307,6 +314,7 @@ def test_exact_caches_are_thread_safe():
             mean_undominated(4, 60 + k),
             stirling_row(100 + k)[0],
             harmonic(200 + k),
+            mean_survivors_2xn(5000 + 7 * k),
         )
 
     with ThreadPoolExecutor(max_workers=8) as pool:
@@ -324,17 +332,57 @@ def test_input_validation():
         blocking_event_probability(1, 3)
 
 
-def test_float_sums_are_plain_running_sums():
+def test_running_sums_are_plain_running_sums():
     terms = {
-        "h1": lambda k: 1.0 / k,
-        "h2": lambda k: 1.0 / (k * k),
-        "d": lambda k: 2.0 / (2 * k - 1),
-        "t": lambda k: -4.0 / (2 * k - 1) ** 2,
+        exact._H1: lambda k: (1, k),
+        exact._H2: lambda k: (1, k * k),
+        exact._DIGAMMA: lambda k: (2, 2 * k - 1),
+        exact._TRIGAMMA: lambda k: (-4, (2 * k - 1) ** 2),
+        (1, 1, 0, 3): lambda k: (1, k**3),
     }
-    n = 10**4
-    for kind, term in terms.items():
-        want = [0.0]
-        for k in range(1, n + 1):
-            want.append(want[-1] + term(k))
-        got = [exact._float_sum(kind, i) for i in (n, 1, 7, n // 3, 0)]
-        assert got == [want[i] for i in (n, 1, 7, n // 3, 0)], kind
+    for is_exact, n in ((False, 10**4), (True, 300)):
+        for series, term in terms.items():
+            want = [Fraction(0) if is_exact else 0.0]
+            for k in range(1, n + 1):
+                p, q = term(k)
+                want.append(want[-1] + (Fraction(p, q) if is_exact else float(p) / float(q)))
+            queries = (n, 1, 7, n // 3, 0)
+            got = [exact._running_sum(series, i, is_exact) for i in queries]
+            assert got == [want[i] for i in queries], (series, is_exact)
+            assert all(type(v) is type(want[0]) for v in got)
+    assert harmonic(300, 3) == exact._running_sum((1, 1, 0, 3), 300, True)
+
+
+def test_float_branch_literals():
+    # Reprs of the float branches: reordering a float operation changes
+    # their last digits.
+    assert repr(mean_survivors_2xn(5000)) == "9.026844322985866"
+    assert repr(var_survivors_2xn(10**5)) == "10.76181874487349"
+    assert repr(solvable_probability_2xn(5000)) == "0.01595729227880805"
+    assert repr(mean_iterations_2xn(3, exact_limit=0)) == "2.0666666666666687"
+    assert repr(iteration_distribution_2xn(5000)) == "(0.0, 0.012533454705747633, 0.9874665452942524)"
+    assert repr(mean_undominated(4, 5000)) == "133.24765287619488"
+    assert repr(mean_undominated(3, 120, exact_limit=0)) == "15.230691023118407"
+    assert repr(asymptotic_diagnostics([1000])[0]) == (
+        "DiagnosticsRow(n=1000, sqrt_n_solvable=1.1282381285213134, "
+        "scaled_pr_one_round=1.7726754214748346, sqrt_n_pr_two_rounds=0.8863377107374283, "
+        "sqrt_n_pr_not_three=0.8863377107374283, mean_survivors_minus_log=0.4551390024627562, "
+        "var_survivors_minus_log=-0.026685964243128524)"
+    )
+
+
+def test_mean_undominated_exact_only_below_the_cap():
+    # Exact cost grows about as (m n)^2, so Fractions stop where (m - 1) n
+    # passes the cap; m = 1 and m = 2 keep the cap on n alone.
+    assert isinstance(mean_undominated(3, 2048), Fraction)
+    assert isinstance(mean_undominated(3, 2049), float)
+    assert isinstance(mean_undominated(2, 4096), Fraction)
+    assert isinstance(mean_undominated(1, 4096), Fraction)
+    assert mean_undominated(1, 4097) == 1.0 and isinstance(mean_undominated(1, 4097), float)
+    assert isinstance(mean_undominated(5, 30, exact_limit=120), Fraction)
+    assert isinstance(mean_undominated(5, 31, exact_limit=120), float)
+    start = time.perf_counter()
+    value = mean_undominated(200, 4096)
+    # every column is undominated but for a chance of about n / 2^m
+    assert isinstance(value, float) and value == pytest.approx(4096, rel=1e-12)
+    assert time.perf_counter() - start < 10
