@@ -390,6 +390,8 @@ def _generated_game(args):
     give; refused before drawing when it would not fit in memory. Returning
     frees the draw's arrays before the JSON text is built."""
     source = _source_from_args(args)
+    if source.is_nplayer and args.cardinal:
+        raise ValueError("--cardinal needs a bimatrix source: N-player games are ordinal")
     need = _GENERATE_BYTES_PER_PAYOFF * len(source.shape) * math.prod(source.shape)
     if need > montecarlo.BATCH_BYTES_LIMIT:
         raise CapacityError(
@@ -535,6 +537,8 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
     for key, value in _HARD_DEFAULTS.items():
         if getattr(args, key, None) is None and key in vars(args):
             setattr(args, key, value)
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError("--threads must be >= 1")
     return args
 
 

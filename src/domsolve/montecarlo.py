@@ -6,11 +6,21 @@ batch results are exact integer tallies whose merge is associative, so the
 estimates are bit-identical for any thread count or completion order. The
 batch size is part of the stream layout; it is derived deterministically
 from the game dimensions unless pinned explicitly in the spec.
+
+Draws stay per batch, but a mixed run decides its batches in groups: a
+group is a run of consecutive batches, as many as fit in
+``MIXED_GROUP_BYTES`` by the capacity guard's per-game estimate (at least
+one), whose draws are concatenated and decided by one call of each batch
+rule. The group size depends on the spec alone, so the tallies do not
+depend on the thread count either. A pure batch is its own work item. Work
+items go to a thread pool only when there are two or more, with at most one
+thread per item and per CPU.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
@@ -58,10 +68,19 @@ _MIXED_METRICS = (MIXED_PI, MIXED_COND_ITERATIONS, RATIONALIZABLE_MEAN)
 # The tally key of the one histogram each histogram metric reads.
 _HISTOGRAM_KEYS = {SURVIVOR_DIST: "sc_hist", UNDOMINATED_DIST: "uc_hist", PURE_NASH_DIST: "nash_hist"}
 
-# An experiment whose batch would need more than this (estimated before
-# anything is allocated) raises CapacityError; about one batch per thread is
-# in flight at a time.
+# An experiment whose work item (a batch, or a mixed run's group of batches)
+# would need more than this (estimated before anything is allocated) raises
+# CapacityError; about one work item per thread is in flight at a time.
 BATCH_BYTES_LIMIT = 1 << 30
+# Estimated bytes of a mixed run's group of batches. A mixed batch is
+# thousands of small numpy calls that hold the GIL, so larger calls pay off
+# and let a second thread help: mixed-pi 5x5 with 8192 games took 293 / 385
+# ms at threads 1 / 2 with one batch per call, 194 / 184 at 16 MiB, 154 / 109
+# at 64 MiB and 154 / 132 at 128 MiB, where the peak RSS of a 5x5, 7x7 and
+# 10x10 run rose from 70 to 100 MB (60 MB with one batch; 2 vCPUs). Pure
+# batches stay one per work item: 16 MiB groups raised the wide-games peak
+# RSS from 50 to 59 MB.
+MIXED_GROUP_BYTES = 64 << 20
 # Ranks are stored as int16.
 MAX_ACTIONS = 32767
 
@@ -239,9 +258,17 @@ def _draw_cardinal_game(rng: np.random.Generator, src: GameSource) -> games.Card
 
 
 def _mixed_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
-    """Mixed, pure and point-rationalizable tallies of one batch, drawn as
-    a pure batch is and decided together."""
-    payoffs = _draw_batch(spec.seed.generator(index), spec.source, size)
+    """Mixed, pure and point-rationalizable tallies of ``size`` games from
+    batch ``index`` on: each batch drawn from its own stream as a pure batch
+    is, then all of them decided together by one call of each rule. A size
+    of at most one batch is that batch alone."""
+    batch = spec.effective_batch_size()
+    draws = [
+        _draw_batch(spec.seed.generator(index + j), spec.source, min(batch, size - start))
+        for j, start in enumerate(range(0, size, batch))
+    ]
+    payoffs = draws[0] if len(draws) == 1 else [np.concatenate(stacks) for stacks in zip(*draws)]
+    del draws  # a group keeps only the concatenated copy through the rules
     mixed = rationalizability.rationalizable_batch(*payoffs)
     rat = [alive.sum(axis=1) for alive in mixed["rationalizable"]]
     solvable = _all_one(rat)
@@ -298,30 +325,53 @@ def _mixed_game_bytes(dims: tuple[int, ...]) -> int:
     return 32 * len(dims) * cells + sum(24 * k * (k + 1) * (k + cells // k + 1) for k in dims)
 
 
-def _check_capacity(spec: ExperimentSpec) -> None:
+def _game_bytes(spec: ExperimentSpec) -> int:
+    """The capacity guard's upper estimate of the bytes one game adds to a
+    work item of ``spec``."""
     dims = spec.source.shape
-    if max(dims) > MAX_ACTIONS:
-        raise exact.CapacityError(f"at most {MAX_ACTIONS} actions per player (ranks are int16)")
-    batch = spec.effective_batch_size()
-    need = kernels.batch_bytes(batch, dims)
+    need = kernels.batch_bytes(1, dims)
     if spec.metric in _MIXED_METRICS:
-        need += batch * _mixed_game_bytes(dims)
+        need += _mixed_game_bytes(dims)
+    return need
+
+
+def _group_batches(spec: ExperimentSpec) -> int:
+    """Batches per work item: as many as fit in ``MIXED_GROUP_BYTES`` for a
+    mixed metric, at least one; one for a pure metric."""
+    if spec.metric not in _MIXED_METRICS:
+        return 1
+    return max(1, MIXED_GROUP_BYTES // (spec.effective_batch_size() * _game_bytes(spec)))
+
+
+def _check_capacity(spec: ExperimentSpec) -> None:
+    if max(spec.source.shape) > MAX_ACTIONS:
+        raise exact.CapacityError(f"at most {MAX_ACTIONS} actions per player (ranks are int16)")
+    games_at_once = spec.effective_batch_size() * _group_batches(spec)
+    need = games_at_once * _game_bytes(spec)
     if need > BATCH_BYTES_LIMIT:
         raise exact.CapacityError(
-            f"a batch of {batch} games needs about {need / 2**30:.3g} GiB, "
+            f"a work item of {games_at_once} games needs about {need / 2**30:.3g} GiB, "
             f"above the {BATCH_BYTES_LIMIT / 2**30:g} GiB limit"
         )
 
 
 def _run_batches(spec: ExperimentSpec, threads: int) -> dict:
+    """The merged tallies of every work item: a batch, or a mixed run's
+    group of consecutive batches (the worker's ``size`` is the item's game
+    count)."""
     _check_capacity(spec)
     sizes = _batch_sizes(spec.samples, spec.effective_batch_size())
+    group = _group_batches(spec)
+    starts = range(0, len(sizes), group)
+    games_per_item = [sum(sizes[i : i + group]) for i in starts]
     worker = _mixed_batch_tallies if spec.metric in _MIXED_METRICS else _pure_batch_tallies
-    if threads <= 1:
-        parts = [worker(spec, i, s) for i, s in enumerate(sizes)]
+    # Results do not depend on the thread count, so it is clamped freely.
+    workers = min(threads, len(starts), os.cpu_count() or 1)
+    if workers <= 1:
+        parts = [worker(spec, i, s) for i, s in zip(starts, games_per_item)]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(worker, [spec] * len(sizes), range(len(sizes)), sizes))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(worker, [spec] * len(starts), starts, games_per_item))
     return _merge(parts)
 
 

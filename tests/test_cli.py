@@ -429,6 +429,7 @@ def test_game_generate_draws_from_the_source(capsys):
         ("--dims", "2,2,2", "--dist", "normal", "--alpha", "0.5"),
         ("--dims", "2,2,2", "--dist", "normal"),
         ("--dims", "2,2", "--class", "symmetric"),
+        ("--dims", "2,2", "--cardinal"),
         ("--m", "2", "--n", "2", "--dist", "normal", "--alpha", "0.5"),
         ("--m", "2", "--n", "2", "--alpha", "2"),
     ):
@@ -507,6 +508,10 @@ def test_capacity_guards_exit_before_allocating(capsys, monkeypatch):
     assert code == 3 and "int16" in err
     code, _, err = run_cli(capsys, "diagnose", "clt", "--n", "1000000", "--samples", "10")
     assert code == 3 and "clt_check" in err
+    monkeypatch.setattr(exact, "harmonic", never)
+    n = str(exact.NO_DOMINATED_3XN_LIMIT + 1)
+    code, out, err = run_cli(capsys, "exact", "no-dominated-3xn", "--n", n)
+    assert (code, out) == (3, "") and "no_dominated_column_bounds_3xn" in err
 
 
 def test_config_precedence(capsys, tmp_path):
@@ -534,6 +539,24 @@ def test_config_precedence(capsys, tmp_path):
         "simulate", "--metric", "pi", "--m", "2", "--n", "3",
     )
     assert code == 2 and "JSON object" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--metric", "pi", "--m", "3", "--n", "3", "--samples", "100"),
+        ("diagnose", "bounds", "--samples", "100"),
+    ],
+    ids=["simulate", "diagnose"],
+)
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_are_refused(capsys, monkeypatch, argv, threads):
+    def never(*args):
+        raise AssertionError("a run was started")
+
+    monkeypatch.setattr(montecarlo, "_run_batches", never)
+    code, out, err = run_cli(capsys, *argv, "--threads", threads)
+    assert code == 2 and not out and "--threads must be >= 1" in err
 
 
 @pytest.mark.parametrize("size", ["0", "-7"])

@@ -262,6 +262,15 @@ def test_no_dominated_column_bounds():
     assert lower3 == Fraction(11, 24)
 
 
+def test_no_dominated_column_bounds_are_capped(monkeypatch):
+    def never(*args):
+        raise AssertionError("the product was started")
+
+    monkeypatch.setattr(exact, "harmonic", never)
+    with pytest.raises(exact.CapacityError):
+        no_dominated_column_bounds_3xn(exact.NO_DOMINATED_3XN_LIMIT + 1)
+
+
 def test_diagnostics_approach_limits():
     ns = [125, 250, 500, 1000, 2000, 4000, 8000]
     rows = asymptotic_diagnostics(ns)
@@ -304,6 +313,9 @@ def test_log_space_iteration_law_at_n1():
     assert one.sqrt_n_pr_two_rounds == 0.0
     assert one.sqrt_n_pr_not_three == 1.0
     assert two.sqrt_n_pr_not_three == math.sqrt(2)
+    # The float mean would read 0.9999999999999996 at n = 1.
+    assert mean_iterations_2xn(1, exact_limit=0) == 1.0
+    assert repr(mean_iterations_2xn(2, exact_limit=0)) == "1.6666666666666663"
     for n in range(1, 400):
         assert all(0.0 <= p <= 1.0 for p in iteration_distribution_2xn(n, exact_limit=0)), n
 

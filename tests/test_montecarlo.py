@@ -368,6 +368,75 @@ def test_determinism_across_thread_counts():
     assert hists[0] == hists[1]
 
 
+@pytest.mark.parametrize(
+    "source",
+    [GameSource(m=4, n=4), GameSource(m=3, n=5, game_class=GameClass.STRAT_COMPLEMENTS), GameSource(dims=(3, 2, 3))],
+    ids=["4x4", "3x5-complements", "3x2x3"],
+)
+def test_a_group_of_batches_is_the_merge_of_its_batches(source):
+    spec = ExperimentSpec(MIXED_PI, source, 700, SEED, batch_size=256)
+    group = _mixed_batch_tallies(spec, 0, 700)
+    batches = montecarlo._merge(_mixed_batch_tallies(spec, i, size) for i, size in enumerate((256, 256, 188)))
+    assert group == batches and group["lp_checks"] > 0
+
+
+def test_mixed_groups_do_not_change_results(monkeypatch):
+    spec = ExperimentSpec(MIXED_COND_ITERATIONS, GameSource(m=3, n=4), 950, SEED, batch_size=100)
+    worker = montecarlo._mixed_batch_tallies
+    calls = []
+
+    def recorded(spec, index, size):
+        calls.append((index, size))
+        return worker(spec, index, size)
+
+    monkeypatch.setattr(montecarlo, "_mixed_batch_tallies", recorded)
+    want = montecarlo._run_batches(spec, 1)
+    assert calls == [(0, 950)]  # the default budget holds the whole run
+    estimate = run(spec)
+    for batches, items in ((1, [(i, 100) for i in range(9)] + [(9, 50)]), (3, [(0, 300), (3, 300), (6, 300), (9, 50)])):
+        monkeypatch.setattr(montecarlo, "MIXED_GROUP_BYTES", batches * 100 * montecarlo._game_bytes(spec))
+        for threads in (1, 2, 4):
+            calls.clear()
+            assert montecarlo._run_batches(spec, threads) == want
+            assert sorted(calls) == items
+            assert run(spec, threads) == estimate
+
+
+class _RecordingPool:
+    """A stand-in ThreadPoolExecutor that records ``max_workers`` and maps
+    in the calling thread."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_thread_pool_is_clamped_to_items_and_cpus(monkeypatch):
+    made = []
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
+    spec = ExperimentSpec(PI, GameSource(m=3, n=3), 30, SEED, batch_size=10)
+    want = montecarlo._run_batches(spec, 1)
+    for cpus, workers in ((64, 3), (2, 2), (1, None), (None, None)):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        made.clear()
+        assert montecarlo._run_batches(spec, 10**6) == want
+        assert made == ([] if workers is None else [workers]), cpus
+    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    made.clear()
+    # one batch, and a mixed run of three batches in one group: no pool
+    montecarlo._run_batches(replace(spec, samples=10), 10**6)
+    montecarlo._run_batches(ExperimentSpec(MIXED_PI, GameSource(m=3, n=3), 600, SEED), 10**6)
+    assert made == []
+
+
 def test_determinism_repeated_runs():
     spec = ExperimentSpec(COND_ITERATIONS, GameSource(m=3, n=3), 30_000, SEED)
     assert run(spec) == run(spec)

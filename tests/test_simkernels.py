@@ -354,9 +354,9 @@ def test_batch_bytes_bounds_the_measured_peak(m, n, game_class):
 
 
 @pytest.mark.parametrize(
-    "metric, source, slack",
+    "metric, source, slack, batches",
     [
-        (PI, source, 4)
+        (PI, source, 4, 1)
         for source in (
             GameSource(m=7, n=7),
             GameSource(m=2, n=20),
@@ -370,7 +370,7 @@ def test_batch_bytes_bounds_the_measured_peak(m, n, game_class):
     # The mixed estimate allows a simplex tableau for every own action of
     # every game, which the LP shortcuts mostly avoid.
     + [
-        (MIXED_PI, source, 32)
+        (MIXED_PI, source, 32, 1)
         for source in (
             GameSource(m=3, n=3),
             GameSource(m=10, n=10),
@@ -378,25 +378,26 @@ def test_batch_bytes_bounds_the_measured_peak(m, n, game_class):
             GameSource(m=40, n=2),
             GameSource(m=4, n=4, game_class=GameClass.STRAT_COMPLEMENTS),
         )
-    ],
+    ]
+    # A group of mixed batches also holds each batch's draw until they are
+    # concatenated.
+    + [(MIXED_PI, GameSource(m=5, n=5), 32, 3)],
     ids=["7x7", "2x20", "8x8-complements", "3x70", "2x400", "3x3x3", "2x65x1"]
-    + ["mixed-3x3", "mixed-10x10", "mixed-2x40", "mixed-40x2", "mixed-4x4-complements"],
+    + ["mixed-3x3", "mixed-10x10", "mixed-2x40", "mixed-40x2", "mixed-4x4-complements", "mixed-5x5-group"],
 )
-def test_batch_bytes_bounds_the_batch_worker_peak(metric, source, slack):
+def test_batch_bytes_bounds_the_batch_worker_peak(metric, source, slack, batches):
     # The batch worker keeps its float draws alive through elimination (and,
     # for the mixed metrics, through the LP rounds); the estimate must cover
-    # that too, within a small factor.
+    # that too, within a small factor. A mixed worker may decide a group of
+    # consecutive batches.
     spec = ExperimentSpec(metric, source, 1, Seed(0))
-    batch = spec.effective_batch_size()
+    size = batches * spec.effective_batch_size()
     worker = montecarlo._mixed_batch_tallies if metric == MIXED_PI else montecarlo._pure_batch_tallies
     tracemalloc.start()
     try:
-        worker(spec, 0, batch)
+        worker(spec, 0, size)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    dims = source.dims or (source.m, source.n)
-    estimate = kernels.batch_bytes(batch, dims)
-    if metric == MIXED_PI:
-        estimate += batch * montecarlo._mixed_game_bytes(dims)
+    estimate = size * montecarlo._game_bytes(spec)  # the capacity guard's estimate
     assert peak <= estimate <= slack * peak, (peak, estimate)
