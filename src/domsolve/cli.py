@@ -548,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _apply_config(args)
         return args.func(args)
-    except CapacityError as err:
+    except (CapacityError, OverflowError) as err:  # OverflowError: a value beyond the float range
         print(f"capacity error: {err}", file=sys.stderr)
         return EXIT_CAPACITY
     except LPSolveError as err:

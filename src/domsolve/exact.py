@@ -39,6 +39,23 @@ EXACT_LIMIT = 4096
 # Largest n of no_dominated_column_bounds_3xn: its Fraction product grows
 # about as n^3.9 in time (0.17 s at n = 600, 1.1 s at 1000, 16.7 s at 2000).
 NO_DOMINATED_3XN_LIMIT = 1000
+# Largest n of a float running sum, which keeps every partial sum:
+# survivors-var at n = 10^6 takes 1.0 s and 184 MB.
+FLOAT_SUM_LIMIT = 10**6
+# Largest (m - 1) n of the float recurrence of mean_undominated, which also
+# keeps n <= FLOAT_SUM_LIMIT for its two rows of n floats: m = 5, n = 10^6
+# takes 0.8 s and 107 MB.
+MEAN_UNDOMINATED_FLOAT_LIMIT = 4 * 10**6
+# Largest (m - 1)^2 bit_length(j) of blocking_event_probability, whose
+# series adds m - 1 Fractions over powers of j up to j^(m-1): 1.5 s at
+# m = 1000, j = 10^20 (6.7 * 10^7), and 9.7 s at m = 10^4, j = 5.
+BLOCKING_EVENT_LIMIT = 5 * 10**7
+# Largest (m - 1) bit_length(n) of solvable_probability_lower_bound, the
+# bits of n^(m-1), whose decimal digits take time quadratic in their count:
+# 1.1 s at m = 3 * 10^5, n = 10 (1.2 * 10^6).
+POWER_BITS_LIMIT = 1 << 20
+# Largest k whose k! converts to a float.
+_FLOAT_FACTORIAL_MAX = 170
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -92,6 +109,8 @@ def _running_sum(series: tuple[int, int, int, int], n: int, exact: bool) -> Frac
     in ``Fraction`` or in float (int / int division is correctly rounded,
     so a float term equals ``c / float((a k + b)^e)``)."""
     c, a, b, e = series
+    if not exact and n > FLOAT_SUM_LIMIT:
+        raise CapacityError(f"float sums support n <= {FLOAT_SUM_LIMIT}")
     term = Fraction if exact else operator.truediv
     with _lock:
         sums = _running_sums.setdefault((series, exact), [_ZERO_ONE[exact][0]])
@@ -139,14 +158,22 @@ def undominated_distribution_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> list
     """Distribution of the number of undominated column actions in a random
     2 x n game: Pr(k) = s(n, k) / n! for k = 1..n."""
     _check_positive(n)
+    row = stirling_row(n, exact_limit)  # refuses n above the cap before n! is built
     fact = math.factorial(n)
-    return [Fraction(s, fact) for s in stirling_row(n, exact_limit)]
+    return [Fraction(s, fact) for s in row]
 
 
 def _pr_one_round(n: int) -> Fraction:
     # Conditional probability of finishing in a single round: both players
     # have strictly dominant actions.
     return Fraction(math.factorial(n - 1), odd_double_factorial(n))
+
+
+def _log_pow2_plus(n: int, c: int) -> float:
+    """log(2^(n-1) + c) for 0 <= c <= n. Above n = 1024 the integer leaves
+    the float range, where CPython takes its log as log(0.5) + log(2) n
+    (frexp), so that float is returned without building the integer."""
+    return math.log(0.5) + math.log(2.0) * n if n > 1024 else math.log(2 ** (n - 1) + c)
 
 
 def _log_odd_double_factorial(n: int) -> float:
@@ -172,7 +199,7 @@ def iteration_distribution_2xn(
         # above 1 at n = 2, so each is capped at what is left.
         log_p1 = math.lgamma(n) - _log_odd_double_factorial(n)
         p1 = min(1.0, math.exp(log_p1))
-        p2 = min(1.0 - p1, math.exp(log_p1 + math.log(n + 2 ** (n - 1) - 2))) if n > 1 else 0.0
+        p2 = min(1.0 - p1, math.exp(log_p1 + _log_pow2_plus(n, n - 2))) if n > 1 else 0.0
     return p1, p2, 1 - p1 - p2
 
 
@@ -182,7 +209,7 @@ def mean_iterations_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> Fraction | fl
     _check_positive(n)
     if n > exact_limit:
         mean = 3.0 - math.exp(
-            math.log(n + 2 ** (n - 1))
+            _log_pow2_plus(n, n)
             + math.lgamma(n)
             - _log_odd_double_factorial(n)
         )
@@ -243,6 +270,10 @@ def mean_undominated(m: int, n: int, exact_limit: int = EXACT_LIMIT) -> Fraction
     _check_positive(m, "m")
     _check_positive(n)
     exact = max(m - 1, 1) * n <= exact_limit
+    if not exact and (n > FLOAT_SUM_LIMIT or (m - 1) * n > MEAN_UNDOMINATED_FLOAT_LIMIT):
+        raise CapacityError(
+            f"mean_undominated supports n <= {FLOAT_SUM_LIMIT} and (m - 1) n <= {MEAN_UNDOMINATED_FLOAT_LIMIT}"
+        )
     zero, one = _ZERO_ONE[exact]
     with _lock:
         prev = [one] * (n + 1)  # E(1, k)
@@ -259,25 +290,37 @@ def mean_undominated(m: int, n: int, exact_limit: int = EXACT_LIMIT) -> Fraction
 
 def undominated_mean_bounds(m: int, n: int) -> tuple[float, float]:
     """Poisson-form sandwich for the expected undominated column count:
-    (ln n)^(m-1)/(m-1)!  <=  E  <=  sum_{k<m} (ln n)^k / k!."""
+    (ln n)^(m-1)/(m-1)!  <=  E  <=  sum_{k<m} (ln n)^k / k!.
+    Where a term leaves the float range, the same sandwich in log space
+    (:func:`poisson_form_bounds`)."""
     _check_positive(m, "m")
     _check_positive(n)
     logn = math.log(n)
-    lower = logn ** (m - 1) / math.factorial(m - 1)
-    upper = sum(logn**k / math.factorial(k) for k in range(m))
-    return lower, upper
+    if m - 1 <= _FLOAT_FACTORIAL_MAX:
+        try:
+            lower = logn ** (m - 1) / math.factorial(m - 1)
+            return lower, sum(logn**k / math.factorial(k) for k in range(m))
+        except OverflowError:  # (ln n)^k
+            pass
+    return poisson_form_bounds(m, n)
 
 
 def poisson_form_bounds(m: int, n: int) -> tuple[float, float]:
     """The same sandwich written with Poisson(ln n) probabilities:
-    n Pr(X = m-1) <= E <= n Pr(X <= m-1)."""
+    n Pr(X = m-1) <= E <= n Pr(X <= m-1), with X ~ Poisson(ln n)."""
     _check_positive(m, "m")
     _check_positive(n)
     lam = math.log(n)
     pmf = lambda k: math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1)) if lam > 0 else (1.0 if k == 0 else 0.0)
-    lower = n * pmf(m - 1)
-    upper = n * sum(pmf(k) for k in range(m))
-    return lower, upper
+    cdf = 0.0
+    for k in range(m):
+        term = pmf(k)
+        # Past the mode the terms fall; one below half an ulp of the sum
+        # leaves it as it is, and so does every later one.
+        if k > lam and term < cdf * 2.0**-54:
+            break
+        cdf += term
+    return n * pmf(m - 1), n * cdf
 
 
 def undominated_fraction_lower_bound(m: int, n: int) -> float:
@@ -285,6 +328,11 @@ def undominated_fraction_lower_bound(m: int, n: int) -> float:
     least 1 - (n-1)/2^m (clamped at 0)."""
     _check_positive(m, "m")
     _check_positive(n)
+    bits = (n - 1).bit_length()
+    if bits > m + 1:  # (n - 1) / 2^m >= 2
+        return 0.0
+    if bits < m - 60:  # (n - 1) / 2^m < 2^-60, below half an ulp of 1
+        return 1.0
     return max(0.0, 1.0 - (n - 1) / 2**m)
 
 
@@ -300,6 +348,8 @@ def blocking_event_probability(m: int, j: int) -> Fraction:
     if m < 2:
         raise ValueError("m must be >= 2")
     _check_positive(j, "j")
+    if (m - 1) ** 2 * j.bit_length() > BLOCKING_EVENT_LIMIT:
+        raise CapacityError(f"blocking_event_probability supports (m-1)^2 bit_length(j) <= {BLOCKING_EVENT_LIMIT}")
     series = Fraction(m - 1, 2 * j)
     for k in range(2, m):
         series += Fraction((-1) ** (k - 1) * math.comb(m - 1, k), 2 * j**k)
@@ -316,6 +366,8 @@ def row_elimination_probability_bound(m: int, n: int) -> float:
     _check_positive(n)
     if m < 2:
         return 0.0
+    if m >= n:  # m (m - 1) >= 2 times a power of m / n >= 1
+        return 1.0
     return min(1.0, m * (m - 1) * (m / n) ** ((m - 1) / 4))
 
 
@@ -324,6 +376,8 @@ def solvable_probability_lower_bound(m: int, n: int) -> Fraction:
     dominant action, which already makes the game solvable."""
     _check_positive(m, "m")
     _check_positive(n)
+    if (m - 1) * n.bit_length() > POWER_BITS_LIMIT:
+        raise CapacityError(f"solvable_probability_lower_bound supports (m-1) bit_length(n) <= {POWER_BITS_LIMIT}")
     return Fraction(1, n ** (m - 1))
 
 

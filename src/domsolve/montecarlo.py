@@ -24,7 +24,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -51,22 +51,9 @@ MIXED_COND_ITERATIONS = "mixed-cond-iterations"
 RATIONALIZABLE_MEAN = "rationalizable-mean"
 POINT_RAT_UNIQUE = "point-rat-unique"
 
-METRICS = (
-    PI,
-    COND_ITERATIONS,
-    SURVIVOR_DIST,
-    SURVIVOR_MEAN,
-    UNDOMINATED_MEAN,
-    UNDOMINATED_DIST,
-    PURE_NASH_DIST,
-    MIXED_PI,
-    MIXED_COND_ITERATIONS,
-    RATIONALIZABLE_MEAN,
-    POINT_RAT_UNIQUE,
-)
-_MIXED_METRICS = (MIXED_PI, MIXED_COND_ITERATIONS, RATIONALIZABLE_MEAN)
-# The tally key of the one histogram each histogram metric reads.
-_HISTOGRAM_KEYS = {SURVIVOR_DIST: "sc_hist", UNDOMINATED_DIST: "uc_hist", PURE_NASH_DIST: "nash_hist"}
+# The rules that decide a metric's games. A metric names its rule: workers and
+# kernels are looked up when a batch runs (the benchmark's tracer swaps them).
+_ELIMINATION, _PURE_NASH, _NEVER_BEST_RESPONSE, _MIXED = "elimination", "pure-nash", "never-best-response", "mixed"
 
 # An experiment whose work item (a batch, or a mixed run's group of batches)
 # would need more than this (estimated before anything is allocated) raises
@@ -81,6 +68,10 @@ BATCH_BYTES_LIMIT = 1 << 30
 # batches stay one per work item: 16 MiB groups raised the wide-games peak
 # RSS from 50 to 59 MB.
 MIXED_GROUP_BYTES = 64 << 20
+# Most batches of one run, checked before the list of batch sizes is built.
+# 2^20 single-game batches of 2x2 pi take over 100 s; at the default batch
+# size the cap is 8.6e9 samples of small games and 4e7 of 5x200.
+MAX_BATCHES = 1 << 20
 # Ranks are stored as int16.
 MAX_ACTIONS = 32767
 
@@ -147,7 +138,7 @@ class ExperimentSpec:
     def effective_batch_size(self) -> int:
         if self.batch_size is not None:
             return self.batch_size
-        if self.metric in _MIXED_METRICS:
+        if _TABLE[self.metric].rule == _MIXED:
             return 256
         # sum over players of m_k^2 * P_k: each player's outrank bitsets
         dims = self.source.shape
@@ -181,12 +172,15 @@ class HistogramEstimate:
         return math.sqrt(p * (1 - p) / self.samples)
 
 
-def _bernoulli_estimate(successes: int, samples: int) -> Estimate:
-    p = successes / samples
-    return Estimate(p, math.sqrt(p * (1 - p) / samples), samples, successes)
+def _bernoulli(tallies: dict, key: str, samples: int) -> Estimate:
+    p = tallies[key] / samples
+    return Estimate(p, math.sqrt(p * (1 - p) / samples), samples, tallies[key])
 
 
-def _mean_estimate(total: int, sq_total: int, count: int, samples: int) -> Estimate:
+def _mean(tallies: dict, key: str, samples: int, count: int | None = None) -> Estimate:
+    """Mean of the values tallied as ``key``_sum and _sq over ``count`` games (default all)."""
+    total, sq_total = tallies[key + "_sum"], tallies[key + "_sq"]
+    count = samples if count is None else count
     mean = total / count
     if count > 1:
         var = (sq_total - total * total / count) / (count - 1)
@@ -196,8 +190,42 @@ def _mean_estimate(total: int, sq_total: int, count: int, samples: int) -> Estim
     return Estimate(mean, se, samples, count)
 
 
+def _solvable_mean(tallies: dict, key: str, samples: int) -> Estimate:
+    if tallies["solvable"] == 0:
+        raise NoConditioningEventsError(f"no solvable games sampled ({samples} draws)")
+    return _mean(tallies, key, samples, tallies["solvable"])
+
+
+def _histogram(tallies: dict, key: str, samples: int) -> HistogramEstimate:
+    return HistogramEstimate(dict(sorted(tallies[key].items())), samples)
+
+
+class _Metric(NamedTuple):
+    rule: str
+    tally: str  # the tally key, or the common prefix of a mean's two keys
+    estimate: Callable[[dict, str, int], Estimate | HistogramEstimate]
+
+
+_TABLE = {
+    PI: _Metric(_ELIMINATION, "solvable", _bernoulli),
+    COND_ITERATIONS: _Metric(_ELIMINATION, "iter", _solvable_mean),
+    SURVIVOR_DIST: _Metric(_ELIMINATION, "sc_hist", _histogram),
+    SURVIVOR_MEAN: _Metric(_ELIMINATION, "sc", _mean),
+    UNDOMINATED_MEAN: _Metric(_ELIMINATION, "uc", _mean),
+    UNDOMINATED_DIST: _Metric(_ELIMINATION, "uc_hist", _histogram),
+    PURE_NASH_DIST: _Metric(_PURE_NASH, "nash_hist", _histogram),
+    MIXED_PI: _Metric(_MIXED, "solvable", _bernoulli),
+    MIXED_COND_ITERATIONS: _Metric(_MIXED, "iter", _solvable_mean),
+    RATIONALIZABLE_MEAN: _Metric(_MIXED, "rat_cols", _mean),
+    POINT_RAT_UNIQUE: _Metric(_NEVER_BEST_RESPONSE, "unique", _bernoulli),
+}
+METRICS = tuple(_TABLE)
+
+
 def _batch_sizes(samples: int, batch_size: int) -> list[int]:
     full, rem = divmod(samples, batch_size)
+    if full + (rem > 0) > MAX_BATCHES:
+        raise exact.CapacityError(f"{samples} samples take more than {MAX_BATCHES} batches of {batch_size}")
     return [batch_size] * full + ([rem] if rem else [])
 
 
@@ -207,21 +235,22 @@ def _all_one(counts) -> np.ndarray:
 
 
 def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
-    """Integer tallies of one batch. The ``sc_*`` and ``uc_*`` keys hold the
-    reported player's survivor and undominated counts.
+    """Integer tallies of one batch under the metric's pure rule. The
+    ``sc_*`` and ``uc_*`` keys hold the reported player's survivor and
+    undominated counts.
 
-    point-rat-unique gets ``unique`` alone and pure-nash-dist its pure-Nash
-    histogram ``nash_hist`` alone; neither runs the elimination. Every other
-    metric gets the integer sums (``solvable``, ``iter_*``, ``sc_*``,
-    ``uc_*``, and ``sr_less``, the games where player 0, Row in a bimatrix,
-    loses an action), and a histogram metric also its one ``Counter``:
-    survivor-dist ``sc_hist``, undominated-dist ``uc_hist``."""
+    The never-best-response and pure-Nash rules tally the metric's key
+    alone; neither runs the elimination. The elimination tallies the integer
+    sums (``solvable``, ``iter_*``, ``sc_*``, ``uc_*``, and ``sr_less``, the
+    games where player 0, Row in a bimatrix, loses an action), and for a
+    histogram metric also its one ``Counter``."""
     src = spec.source
+    rule, key, estimate = _TABLE[spec.metric]
     payoffs = _draw_batch(spec.seed.generator(index), src, size)
-    if spec.metric == POINT_RAT_UNIQUE:
-        return {"unique": int(_all_one(kernels.point_rationalizable_counts(*payoffs)).sum())}
-    if spec.metric == PURE_NASH_DIST:
-        return {"nash_hist": Counter(kernels.pure_nash_counts(*payoffs).tolist())}
+    if rule == _NEVER_BEST_RESPONSE:
+        return {key: int(_all_one(kernels.point_rationalizable_counts(*payoffs)).sum())}
+    if rule == _PURE_NASH:
+        return {key: Counter(kernels.pure_nash_counts(*payoffs).tolist())}
     out = kernels.eliminate_batch(*payoffs)
     survivors, undominated = out["survivors"][src.reported], out["undominated"][src.reported]
     solvable = out["solvable"]
@@ -236,10 +265,8 @@ def _pure_batch_tallies(spec: ExperimentSpec, index: int, size: int) -> dict:
         "uc_sum": int(undominated.sum()),
         "uc_sq": int((undominated.astype(np.int64) ** 2).sum()),
     }
-    per_game = {"sc_hist": survivors, "uc_hist": undominated}
-    key = _HISTOGRAM_KEYS.get(spec.metric)
-    if key is not None:
-        tallies[key] = Counter(per_game[key].tolist())
+    if estimate is _histogram:
+        tallies[key] = Counter({"sc_hist": survivors, "uc_hist": undominated}[key].tolist())
     return tallies
 
 
@@ -298,9 +325,9 @@ def solvability_chain(
     spec = ExperimentSpec(MIXED_PI, source, samples, seed)
     tallies = _run_batches(spec, threads)
     return {
-        "pure": _bernoulli_estimate(tallies["pure_solvable"], samples),
-        "mixed": _bernoulli_estimate(tallies["solvable"], samples),
-        "point_rat_unique": _bernoulli_estimate(tallies["prat_unique"], samples),
+        "pure": _bernoulli(tallies, "pure_solvable", samples),
+        "mixed": _bernoulli(tallies, "solvable", samples),
+        "point_rat_unique": _bernoulli(tallies, "prat_unique", samples),
     }
 
 
@@ -330,7 +357,7 @@ def _game_bytes(spec: ExperimentSpec) -> int:
     work item of ``spec``."""
     dims = spec.source.shape
     need = kernels.batch_bytes(1, dims)
-    if spec.metric in _MIXED_METRICS:
+    if _TABLE[spec.metric].rule == _MIXED:
         need += _mixed_game_bytes(dims)
     return need
 
@@ -338,7 +365,7 @@ def _game_bytes(spec: ExperimentSpec) -> int:
 def _group_batches(spec: ExperimentSpec) -> int:
     """Batches per work item: as many as fit in ``MIXED_GROUP_BYTES`` for a
     mixed metric, at least one; one for a pure metric."""
-    if spec.metric not in _MIXED_METRICS:
+    if _TABLE[spec.metric].rule != _MIXED:
         return 1
     return max(1, MIXED_GROUP_BYTES // (spec.effective_batch_size() * _game_bytes(spec)))
 
@@ -364,7 +391,7 @@ def _run_batches(spec: ExperimentSpec, threads: int) -> dict:
     group = _group_batches(spec)
     starts = range(0, len(sizes), group)
     games_per_item = [sum(sizes[i : i + group]) for i in starts]
-    worker = _mixed_batch_tallies if spec.metric in _MIXED_METRICS else _pure_batch_tallies
+    worker = _mixed_batch_tallies if _TABLE[spec.metric].rule == _MIXED else _pure_batch_tallies
     # Results do not depend on the thread count, so it is clamped freely.
     workers = min(threads, len(starts), os.cpu_count() or 1)
     if workers <= 1:
@@ -378,29 +405,8 @@ def _run_batches(spec: ExperimentSpec, threads: int) -> dict:
 def run(spec: ExperimentSpec, threads: int = 1) -> Estimate | HistogramEstimate:
     """Run one experiment; conditional metrics raise
     :class:`NoConditioningEventsError` when no game satisfied the condition."""
-    tallies = _run_batches(spec, threads)
-    n = spec.samples
-    metric = spec.metric
-    if metric in (PI, MIXED_PI):
-        return _bernoulli_estimate(tallies["solvable"], n)
-    if metric in (COND_ITERATIONS, MIXED_COND_ITERATIONS):
-        count = tallies["solvable"]
-        if count == 0:
-            raise NoConditioningEventsError(
-                f"no solvable games sampled ({n} draws)"
-            )
-        return _mean_estimate(tallies["iter_sum"], tallies["iter_sq"], count, n)
-    if metric == SURVIVOR_MEAN:
-        return _mean_estimate(tallies["sc_sum"], tallies["sc_sq"], n, n)
-    if metric == UNDOMINATED_MEAN:
-        return _mean_estimate(tallies["uc_sum"], tallies["uc_sq"], n, n)
-    if metric in _HISTOGRAM_KEYS:
-        return HistogramEstimate(dict(sorted(tallies[_HISTOGRAM_KEYS[metric]].items())), n)
-    if metric == RATIONALIZABLE_MEAN:
-        return _mean_estimate(tallies["rat_cols_sum"], tallies["rat_cols_sq"], n, n)
-    if metric == POINT_RAT_UNIQUE:
-        return _bernoulli_estimate(tallies["unique"], n)
-    raise AssertionError(metric)  # pragma: no cover
+    metric = _TABLE[spec.metric]
+    return metric.estimate(_run_batches(spec, threads), metric.tally, spec.samples)
 
 
 @dataclass(frozen=True)
@@ -423,7 +429,7 @@ def sweep(
 ) -> list[SweepRow]:
     """One estimate per grid point; point i draws from ``seed.child(i)``, so
     no point shares random numbers with another run."""
-    if metric in _HISTOGRAM_KEYS:
+    if metric in _TABLE and _TABLE[metric].estimate is _histogram:
         raise ValueError("sweep supports scalar metrics only")
     rows = []
     for offset, source in enumerate(sources):
@@ -478,9 +484,12 @@ def _ks_normal(z: np.ndarray) -> float:
 
 
 def _skew_kurtosis(z: np.ndarray) -> tuple[float, float]:
-    """Sample skewness and raw kurtosis (normal = 3), population moments."""
+    """Sample skewness and raw kurtosis (normal = 3), population moments;
+    NaN for a sample without spread."""
     d = z - z.mean()
     m2 = (d * d).mean()
+    if m2 == 0:
+        return math.nan, math.nan
     return float((d**3).mean() / m2**1.5), float((d**4).mean() / (m2 * m2))
 
 
@@ -491,20 +500,18 @@ def clt_check(n: int, samples: int, seed: Seed) -> CltReport:
     ``kurtosis`` is the raw fourth standardized moment (normal = 3). The
     counts are drawn from their exact law (:func:`_simkernels.records_law`,
     built once per call), ``CLT_CHUNK`` samples per random stream, so a
-    sample costs O(log n); 100 <= n <= ``CLT_MAX_N`` required.
+    sample costs O(log n); 100 <= n <= ``CLT_MAX_N`` and samples >= 2 required.
     """
     if n < 100:
         raise ValueError("clt_check requires n >= 100")
     if n > CLT_MAX_N:
         raise exact.CapacityError(f"clt_check supports n <= {CLT_MAX_N}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if samples < 2:
+        raise ValueError("clt_check requires samples >= 2")
+    sizes = _batch_sizes(samples, CLT_CHUNK)
     law = kernels.records_law(n)
     values = np.concatenate(
-        [
-            kernels.survivors_2xn_batch(seed.generator(index), size, law)
-            for index, size in enumerate(_batch_sizes(samples, CLT_CHUNK))
-        ]
+        [kernels.survivors_2xn_batch(seed.generator(index), size, law) for index, size in enumerate(sizes)]
     )
     mean = exact.mean_survivors_2xn(n, exact_limit=0)
     var = exact.var_survivors_2xn(n, exact_limit=0)
@@ -568,8 +575,7 @@ def bound_checks(
             seed.child(offset),
         )
         tallies = _run_batches(spec, threads)
-        pi_hat = tallies["solvable"] / samples
-        sr_hat = tallies["sr_less"] / samples
+        pi, sr_less = (_bernoulli(tallies, key, samples) for key in ("solvable", "sr_less"))
         pi_bound = float(exact.solvable_probability_lower_bound(m, n))
         sr_bound = exact.row_elimination_probability_bound(m, n)
         rows.append(
@@ -577,14 +583,14 @@ def bound_checks(
                 m=m,
                 n=n,
                 samples=samples,
-                pi_hat=pi_hat,
-                pi_se=math.sqrt(pi_hat * (1 - pi_hat) / samples),
+                pi_hat=pi.mean,
+                pi_se=pi.se,
                 pi_lower_bound=pi_bound,
-                pi_ok=pi_hat >= pi_bound - 3 * _guard_se(pi_hat, pi_bound, samples),
-                sr_less_hat=sr_hat,
-                sr_less_se=math.sqrt(sr_hat * (1 - sr_hat) / samples),
+                pi_ok=pi.mean >= pi_bound - 3 * _guard_se(pi.mean, pi_bound, samples),
+                sr_less_hat=sr_less.mean,
+                sr_less_se=sr_less.se,
                 sr_less_bound=sr_bound,
-                sr_ok=sr_hat <= sr_bound + 3 * _guard_se(sr_hat, sr_bound, samples),
+                sr_ok=sr_less.mean <= sr_bound + 3 * _guard_se(sr_less.mean, sr_bound, samples),
             )
         )
     return rows

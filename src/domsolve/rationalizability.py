@@ -299,9 +299,7 @@ def _best_response_actions(payoffs: np.ndarray, own: list[int], opp: list[int]) 
     return {own[i] for i in sub.argmax(axis=0)}
 
 
-def rationalizable_sets(
-    game: CardinalBimatrix, tol: float | None = None
-) -> RationalizabilityReport:
+def rationalizable_sets(game: CardinalBimatrix) -> RationalizabilityReport:
     """Iterated simultaneous deletion of mixed-dominated actions, plus the
     pure and point-rationalizable sets of the same game.
 
@@ -319,10 +317,9 @@ def rationalizable_sets(
             # a lone action is a best response, so no LP sees |own| < 2
             safe = _best_response_actions(views[player], own, opp)
             pure = set(_dominated(pure_views[player], own, opp))
-            lp_args = (tuple(own), tuple(opp), tol)
             out.append([
                 a for a in own
-                if a not in safe and (a in pure or is_mixed_dominated(game, player, a, *lp_args))
+                if a not in safe and (a in pure or is_mixed_dominated(game, player, a, tuple(own), tuple(opp)))
             ])
         return out
 

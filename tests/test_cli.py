@@ -3,8 +3,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -493,6 +495,7 @@ def test_capacity_guards_exit_before_allocating(capsys, monkeypatch):
         raise AssertionError("work started past the guard")
 
     monkeypatch.setattr(montecarlo, "_pure_batch_tallies", never)
+    monkeypatch.setattr(montecarlo, "_mixed_batch_tallies", never)
     monkeypatch.setattr(montecarlo.kernels, "records_law", never)
     for n in ("100000", "30000"):
         code, _, err = run_cli(
@@ -508,6 +511,17 @@ def test_capacity_guards_exit_before_allocating(capsys, monkeypatch):
     assert code == 3 and "int16" in err
     code, _, err = run_cli(capsys, "diagnose", "clt", "--n", "1000000", "--samples", "10")
     assert code == 3 and "clt_check" in err
+    # A batch count above MAX_BATCHES is refused before the list of batch
+    # sizes is built.
+    huge = str(10**20)
+    for argv in (
+        ("simulate", "--metric", "pi", "--m", "2", "--n", "2", "--samples", huge),
+        ("simulate", "--metric", "mixed-pi", "--m", "2", "--n", "2", "--samples", huge),
+        ("diagnose", "clt", "--n", "100", "--samples", huge),
+        ("diagnose", "bounds", "--samples", huge),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "") and f"more than {montecarlo.MAX_BATCHES} batches" in err, argv
     monkeypatch.setattr(exact, "harmonic", never)
     n = str(exact.NO_DOMINATED_3XN_LIMIT + 1)
     code, out, err = run_cli(capsys, "exact", "no-dominated-3xn", "--n", n)
@@ -580,3 +594,100 @@ def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):
     code, _, _ = run_cli(capsys, "exact", "solvability", "--n", "1..3", "--out", "env.csv")
     assert code == 0
     assert (tmp_path / "env.csv").exists()
+
+
+HUGE = str(10**20)
+# Each subcommand with small valid values, and the numeric options to vary;
+# --dims and --grid take the value as their first number.
+_BOUNDARY_BASES = (
+    [(("exact", table, "--m", "2", "--n", "5"), ("--m", "--n")) for table in _EXACT_TABLES]
+    + [(("enumerate", what, "--n", "3"), ("--n",)) for what in ("full2xn", "uc3xn", "class2x2", "pointrat2x2")]
+    + [
+        (
+            ("simulate", "--metric", metric, "--m", "2", "--n", "3", "--samples", "200", "--seed", "1",
+             "--stream", "0", "--batch-size", "64", "--threads", "1"),
+            ("--m", "--n", "--dims", "--alpha", "--samples", "--seed", "--stream", "--batch-size", "--threads"),
+        )
+        for metric in ("pi", "mixed-pi")
+    ]
+    + [
+        (
+            ("diagnose", what, "--n", "200", "--samples", "200", "--seed", "1", "--stream", "0",
+             "--threads", "1", "--grid", "2,5"),
+            ("--n", "--samples", "--seed", "--stream", "--threads", "--grid"),
+        )
+        for what in ("asymptotics", "clt", "bounds")
+    ]
+    + [
+        (
+            ("game", "generate", "--m", "2", "--n", "3", "--seed", "1", "--stream", "0"),
+            ("--m", "--n", "--dims", "--alpha", "--seed", "--stream"),
+        )
+    ]
+)
+
+
+def _with_value(base, option, value):
+    argv = list(base)
+    if option in ("--dims", "--grid"):
+        value = f"{value},2"
+    if option == "--dims":  # a source takes --dims or --m/--n
+        for flag in ("--m", "--n"):
+            del argv[argv.index(flag) : argv.index(flag) + 2]
+    if option in argv:
+        argv[argv.index(option) + 1] = value
+    else:
+        argv += [option, value]
+    return argv
+
+
+BOUNDARY_CASES = [
+    _with_value(base, option, value)
+    for base, options in _BOUNDARY_BASES
+    for option in options
+    for value in ("0", "1", "-1", HUGE, "2.5")
+] + [
+    # Each crashed, ran out of memory or ran for seconds to hours before it
+    # was capped or computed without big integers.
+    ["exact", "undominated-bounds", "--m", "172", "--n", "10"],
+    ["exact", "row-elim-bound", "--m", "100000", "--n", "10"],
+    ["exact", "iterations-mean", "--n", "1000000000"],
+    ["exact", "iterations-dist", "--n", "1000000000"],
+    ["exact", "undominated-dist", "--n", "1000000"],
+    ["exact", "survivors-var", "--n", "10000000"],
+    ["exact", "survivors-mean", "--n", "10000000000"],
+    ["exact", "undominated-mean", "--m", "5", "--n", "10000000"],
+    ["exact", "blocking-event", "--m", "100000", "--n", "5"],
+    ["exact", "solvability-lower-bound", "--m", "100000000", "--n", "10"],
+    ["exact", "union-lower-bound", "--m", "1000000000", "--n", "10"],
+    ["simulate", "--metric", "pi", "--m", "2", "--n", "2", "--samples", HUGE],
+    ["diagnose", "clt", "--n", "100", "--samples", "2", "--seed", "1"],
+]
+# Seconds per case; every case takes well under 0.2 s.
+BOUNDARY_BUDGET = 2.0
+
+
+class OverBudget(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", BOUNDARY_CASES, ids=" ".join)
+def test_boundary_values_exit_cleanly(capsys, argv):
+    def over_budget(signum, frame):
+        raise OverBudget(f"over {BOUNDARY_BUDGET} s")
+
+    previous = signal.signal(signal.SIGALRM, over_budget)
+    signal.setitimer(signal.ITIMER_REAL, BOUNDARY_BUDGET)
+    start = time.perf_counter()
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as refused:  # argparse: not an integer
+            code = refused.code
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+    assert elapsed < BOUNDARY_BUDGET

@@ -398,3 +398,53 @@ def test_mean_undominated_exact_only_below_the_cap():
     # every column is undominated but for a chance of about n / 2^m
     assert isinstance(value, float) and value == pytest.approx(4096, rel=1e-12)
     assert time.perf_counter() - start < 10
+
+
+def test_log_of_the_big_power_of_two_without_the_integer():
+    # Above n = 1024 CPython takes the log of 2^(n-1) + c through frexp.
+    for n in (*range(2, 30), *range(1020, 1300), 4097, 10**5):
+        for c in (n - 2, n):
+            assert exact._log_pow2_plus(n, c) == math.log(2 ** (n - 1) + c), (n, c)
+
+
+def test_float_tables_beyond_the_float_range_stay_finite():
+    lower, upper = undominated_mean_bounds(172, 10)
+    assert 0.0 < lower < upper <= 10.0 + 1e-12
+    assert (lower, upper) == poisson_form_bounds(172, 10)
+    assert undominated_mean_bounds(10**20, 10) == (0.0, poisson_form_bounds(171, 10)[1])
+    assert row_elimination_probability_bound(100000, 10) == 1.0
+    assert row_elimination_probability_bound(10**20, 10**30) == 0.0
+    mean = mean_iterations_2xn(10**9)
+    assert 2.99 < mean < 3.0
+    p1, p2, p3 = iteration_distribution_2xn(10**9)
+    assert p1 == 0.0 and p2 + p3 == pytest.approx(1.0) and 3 - mean == pytest.approx(p2 + 2 * p1)
+    assert undominated_fraction_lower_bound(10**9, 10) == 1.0
+    assert undominated_fraction_lower_bound(2, 10**20) == 0.0
+
+
+def test_poisson_sum_stops_where_terms_no_longer_count():
+    for m, n in ((40, 10), (300, 10**6), (2000, 10**50), (5, 3)):
+        lam = math.log(n)
+        cdf = 0.0
+        for k in range(m):  # every term, added in order
+            cdf += math.exp(-lam + k * math.log(lam) - math.lgamma(k + 1))
+        assert poisson_form_bounds(m, n)[1] == n * cdf, (m, n)
+
+
+def test_runaway_exact_tables_are_capped():
+    for call in (
+        lambda: mean_survivors_2xn(exact.FLOAT_SUM_LIMIT + 1),
+        lambda: var_survivors_2xn(10**10),
+        lambda: mean_undominated(2, exact.FLOAT_SUM_LIMIT + 1),
+        lambda: mean_undominated(1, exact.FLOAT_SUM_LIMIT + 1),
+        lambda: mean_undominated(5, 10**7),
+        lambda: mean_undominated(exact.MEAN_UNDOMINATED_FLOAT_LIMIT + 2, 1),
+        lambda: blocking_event_probability(10**5, 5),
+        lambda: blocking_event_probability(1000, 10**20),
+        lambda: solvable_probability_lower_bound(10**8, 10),
+        lambda: undominated_distribution_2xn(10**9),
+    ):
+        with pytest.raises(CapacityError):
+            call()
+    assert blocking_event_probability(4083, 5) > blocking_event_probability(4082, 5)
+    assert solvable_probability_lower_bound(exact.POWER_BITS_LIMIT // 4 + 1, 10) > 0
