@@ -12,14 +12,17 @@ their ranks alike. The batched eliminator mirrors the simultaneous-deletion
 semantics of :mod:`domsolve.elimination` exactly (the test suite
 cross-checks the two game by game). The 2 x n CLT sampler draws no game at
 all: it samples the surviving column count from its exact law
-(:func:`records_law`), derived from the order statistics of a game.
+(:func:`records_law`), derived from the order statistics of a game and
+built as a product of blocks of ``RECORDS_BLOCK`` factors (about 5 ms at
+n = 10^4).
 
 Pure dominance is decided on bitsets. :func:`outrank_bits` turns a player's
 (batch, profiles, K) stack into the set of own actions ranked strictly above
 each action at each profile, once per batch: by K comparisons when the set
 fits a 16-bit word, and otherwise from one sort and a prefix OR. The sets
 are packed into the smallest unsigned word holding K bits, or into
-ceil(K / 64) uint64 words. A round of :func:`_dominated` is then an AND over
+ceil(K / 64) uint64 words, which the sort build gathers and scatters as one
+opaque item per set. A round of :func:`_dominated` is then an AND over
 the alive profiles, an AND with the alive own actions, and a nonzero test.
 One loop, :func:`_fixpoint`, runs every batch elimination, and its rule
 decides what a round deletes: pure dominance (:func:`_eliminate`),
@@ -102,8 +105,10 @@ def batch_bytes(batch: int, dims: Sequence[int]) -> int:
 
 
 # Largest K whose bitsets outrank_bits builds by comparison: K steps over the
-# stack beat one sort up to here (K = 7: 5.6 vs 16.1 ms, K = 16: 9.7 vs
-# 10.6 ms at a fixed B * P * K), and lose beyond (K = 32: 58.6 vs 35.3 ms).
+# stack beat one sort up to here (medians at B * P * K = 2^20 cells, K = 7:
+# 16 vs 34 ms, K = 16: 31 vs 51 ms). At K = 17 the word grows to 32 bits and
+# the two builds run even (minima 38.8 vs 38.1 ms); beyond, the sort wins
+# (K = 24: 62 vs 45 ms, K = 32: 65 vs 47 ms).
 COMPARE_MAX_K = 16
 
 
@@ -116,7 +121,10 @@ def outrank_bits(values: np.ndarray) -> np.ndarray:
     uint8 or uint16 word and is built by comparison, one vectorised step per
     y. Above it, sorted in descending order, the actions above x are the
     ones before its tie run, so one prefix OR of one-hot words yields every
-    set in O(B P K W) after one sort.
+    set in O(B P K W) after one sort. That build views each set's W words as
+    one item, so the gather of the one-hot sets and the scatter back to
+    action order move one item per index: at K = 200 (W = 4) it runs about
+    1.5x as fast as gathering and scattering words, at K = 100 about 2x.
     """
     *lead, k = values.shape
     rows = values.reshape(-1, k)
@@ -127,29 +135,32 @@ def outrank_bits(values: np.ndarray) -> np.ndarray:
             out |= (rows[:, y : y + 1] > rows).astype(dtype) << dtype.type(y)
         return out.reshape(*lead, k, 1)
     one_hot = _one_hot_words(k)
+    dtype, words = one_hot.dtype, one_hot.shape[1]
+    item = np.dtype((np.void, dtype.itemsize * words))
     n = rows.shape[0]
     # numpy's vectorised argsort covers 32- and 64-bit keys only
     keys = rows.astype(np.promote_types(rows.dtype, np.int32), copy=False)
-    desc = keys.argsort(axis=1)[:, ::-1]
-    # Position-major (K, n, W), so each step of the prefix OR is one
-    # contiguous op. prefix[i] is the set of the first i + 1 actions in
+    desc = np.ascontiguousarray(keys.argsort(axis=1)[:, ::-1].T)
+    # Position-major (K, n), so each step of the prefix OR is one contiguous
+    # op on the word view. prefix[i] is the set of the first i + 1 actions in
     # descending order: what position i + 1 is outranked by, unless it ties
     # position i.
-    prefix = one_hot[desc.T]
-    for previous, current in zip(prefix, prefix[1:]):
+    prefix = one_hot.view(item)[:, 0].take(desc)
+    sets = prefix.view(dtype).reshape(k, n, words)
+    for previous, current in zip(sets, sets[1:]):
         current |= previous
-    above = prefix[:-1]
-    flat = (desc + np.arange(0, n * k, k)[:, None]).T
+    above = sets[:-1]
+    flat = desc + np.arange(0, n * k, k)
     ranked = rows.reshape(-1)[flat]
     tied = ranked[1:] == ranked[:-1]
     if tied.any():
         # a tied position gets the set of its run's first position
         above[tied] = 0
         np.maximum.accumulate(above, axis=0, out=above)
-    out = np.empty((n * k, one_hot.shape[1]), dtype=one_hot.dtype)
-    out[flat[0]] = 0
-    out[flat[1:]] = above
-    return out.reshape(*lead, k, one_hot.shape[1])
+    out = np.empty(n * k, dtype=item)
+    out[flat[0]] = np.zeros((), dtype=item)
+    out[flat[1:]] = prefix[:-1]
+    return out.view(dtype).reshape(*lead, k, words)
 
 
 def _dominated(
@@ -313,6 +324,19 @@ def point_rationalizable_counts(*payoffs: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(a.sum(axis=1) for a in alive)
 
 
+# Factors per block of records_law: one vectorised recurrence step per factor
+# builds every block's law at once.
+RECORDS_BLOCK = 64
+
+
+def _trim(law: np.ndarray) -> np.ndarray:
+    """``law`` without its tail of exact zeros."""
+    top = law.size - 1
+    while law[top] == 0.0:
+        top -= 1
+    return law[: top + 1]
+
+
 def records_law(n: int) -> np.ndarray:
     """Float law p[k] (k = 0, 1, ...) of the number of undominated columns of
     a random 2 x n game, s(n, k) / n!.
@@ -321,23 +345,33 @@ def records_law(n: int) -> np.ndarray:
     iff its value in the second ranking is a strict suffix maximum (the test
     suite checks this against the generic engine state by state), so that
     number is the count of right-to-left records of a uniform permutation,
-    a sum of independent Bernoulli(1/i), i = 1..n; the Poisson-binomial
-    recurrence builds its law in O(n * support). Only a tail that underflows
-    to exactly 0.0 is dropped, which changes no later entry.
+    a sum of independent Bernoulli(1/i), i = 1..n: its law is the product of
+    the polynomials ((i - 1) + x) / i. The Poisson-binomial recurrence builds
+    the product over each block of ``RECORDS_BLOCK`` consecutive factors, all
+    blocks at once, and a tree of pairwise ``np.convolve`` (a direct sum of
+    nonnegative terms, so small entries keep their relative accuracy)
+    multiplies the blocks. Only tails that underflow to exactly 0.0 are
+    dropped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    law = np.zeros(n + 2)
-    law[0] = 1.0
-    top = 0  # law[top + 1:] is exactly zero
-    for i in range(1, n + 1):
-        record = law[: top + 1] / i
-        law[: top + 1] *= (i - 1) / i
-        law[1 : top + 2] += record
-        top += 1
-        while law[top] == 0.0:
-            top -= 1
-    return law[: top + 1].copy()
+    blocks = -(-n // RECORDS_BLOCK)
+    i = np.arange(1.0, blocks * RECORDS_BLOCK + 1).reshape(blocks, RECORDS_BLOCK)
+    past = i > n  # factors past n are the constant 1
+    record = np.where(past, 0.0, 1 / i)
+    stay = np.where(past, 1.0, (i - 1) / i)
+    law = np.zeros((blocks, RECORDS_BLOCK + 1))
+    law[:, 0] = 1.0
+    for t in range(RECORDS_BLOCK):
+        head = law[:, : t + 1]
+        new = head * record[:, t : t + 1]
+        head *= stay[:, t : t + 1]
+        law[:, 1 : t + 2] += new
+    laws = list(law)
+    while len(laws) > 1:
+        paired = [_trim(np.convolve(a, b)) for a, b in zip(laws[::2], laws[1::2])]
+        laws = paired + laws[2 * len(paired) :]
+    return _trim(laws[0])
 
 
 def survivors_2xn_batch(rng: np.random.Generator, batch: int, law: np.ndarray) -> np.ndarray:

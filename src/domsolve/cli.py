@@ -49,13 +49,20 @@ EXIT_NUMERICAL = 4
 _CLASSES = {c.value: c for c in GameClass}
 
 
+# Most values an --n a..b range may name; one row or more is built per value.
+N_RANGE_LIMIT = 10**5
+
+
 def _parse_n_range(text: str) -> list[int]:
-    """Either a single integer or an inclusive 'a..b' range."""
+    """Either a single integer or an inclusive 'a..b' range of at most
+    ``N_RANGE_LIMIT`` values."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         lo, hi = int(lo), int(hi)
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
+        if hi - lo >= N_RANGE_LIMIT:
+            raise CapacityError(f"range {text!r} has {hi - lo + 1} values, above the limit of {N_RANGE_LIMIT}")
         return list(range(lo, hi + 1))
     return [int(text)]
 

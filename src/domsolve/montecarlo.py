@@ -466,9 +466,13 @@ class CltReport:
 
 # Samples per random stream of clt_check; part of its stream layout.
 CLT_CHUNK = 1 << 16
-# Largest n of clt_check: records_law loops over i = 1..n in Python (about
-# 0.4 s at this n, 5 s at 10^6).
+# Largest n of clt_check: records_law's recurrence and block products are
+# linear in n (about 0.05 s at this n).
 CLT_MAX_N = 10**5
+# Bytes per sample that clt_check holds at its peak, an upper estimate: the
+# counts, their standardized copy and the temporaries of the moments and the
+# KS distance (tracemalloc peaks read 32).
+CLT_SAMPLE_BYTES = 40
 
 
 def _ks_normal(z: np.ndarray) -> float:
@@ -500,7 +504,9 @@ def clt_check(n: int, samples: int, seed: Seed) -> CltReport:
     ``kurtosis`` is the raw fourth standardized moment (normal = 3). The
     counts are drawn from their exact law (:func:`_simkernels.records_law`,
     built once per call), ``CLT_CHUNK`` samples per random stream, so a
-    sample costs O(log n); 100 <= n <= ``CLT_MAX_N`` and samples >= 2 required.
+    sample costs O(log n); 100 <= n <= ``CLT_MAX_N`` and samples >= 2 required,
+    and a sample too large for ``BATCH_BYTES_LIMIT`` is refused before the law
+    is built.
     """
     if n < 100:
         raise ValueError("clt_check requires n >= 100")
@@ -509,6 +515,11 @@ def clt_check(n: int, samples: int, seed: Seed) -> CltReport:
     if samples < 2:
         raise ValueError("clt_check requires samples >= 2")
     sizes = _batch_sizes(samples, CLT_CHUNK)
+    if samples * CLT_SAMPLE_BYTES > BATCH_BYTES_LIMIT:
+        raise exact.CapacityError(
+            f"clt_check holds about {samples * CLT_SAMPLE_BYTES / 2**30:.3g} GiB for {samples} samples, "
+            f"above the {BATCH_BYTES_LIMIT / 2**30:g} GiB limit"
+        )
     law = kernels.records_law(n)
     values = np.concatenate(
         [kernels.survivors_2xn_batch(seed.generator(index), size, law) for index, size in enumerate(sizes)]

@@ -497,6 +497,7 @@ def test_capacity_guards_exit_before_allocating(capsys, monkeypatch):
     monkeypatch.setattr(montecarlo, "_pure_batch_tallies", never)
     monkeypatch.setattr(montecarlo, "_mixed_batch_tallies", never)
     monkeypatch.setattr(montecarlo.kernels, "records_law", never)
+    monkeypatch.setattr(montecarlo.kernels, "survivors_2xn_batch", never)
     for n in ("100000", "30000"):
         code, _, err = run_cli(
             capsys, "simulate", "--metric", "pi", "--m", "2", "--n", n, "--samples", "10"
@@ -511,6 +512,12 @@ def test_capacity_guards_exit_before_allocating(capsys, monkeypatch):
     assert code == 3 and "int16" in err
     code, _, err = run_cli(capsys, "diagnose", "clt", "--n", "1000000", "--samples", "10")
     assert code == 3 and "clt_check" in err
+    # 10^8 samples would hold about 4 GB.
+    code, out, err = run_cli(capsys, "diagnose", "clt", "--n", "100", "--samples", "100000000")
+    assert (code, out) == (3, "") and "GiB" in err and "Traceback" not in err
+    # An --n range is refused before its list of values is built.
+    code, out, err = run_cli(capsys, "exact", "solvability", "--n", "1..100000000000")
+    assert (code, out) == (3, "") and f"limit of {cli.N_RANGE_LIMIT}" in err
     # A batch count above MAX_BATCHES is refused before the list of batch
     # sizes is built.
     huge = str(10**20)
@@ -662,6 +669,8 @@ BOUNDARY_CASES = [
     ["exact", "union-lower-bound", "--m", "1000000000", "--n", "10"],
     ["simulate", "--metric", "pi", "--m", "2", "--n", "2", "--samples", HUGE],
     ["diagnose", "clt", "--n", "100", "--samples", "2", "--seed", "1"],
+    ["diagnose", "clt", "--n", "100", "--samples", "100000000"],
+    ["exact", "solvability", "--n", "1..100000000000"],
 ]
 # Seconds per case; every case takes well under 0.2 s.
 BOUNDARY_BUDGET = 2.0

@@ -26,6 +26,7 @@ from domsolve.montecarlo import (
     UNDOMINATED_DIST,
     UNDOMINATED_MEAN,
     BoundCheckRow,
+    CltReport,
     Estimate,
     ExperimentSpec,
     GameSource,
@@ -535,6 +536,66 @@ def test_records_law_matches_exact_distributions(n):
     survivors[0] = (padded[1:] * solvable).sum()
     want = np.array([float(p) for p in exact.survivor_distribution_2xn(n)])
     assert np.abs(survivors - want).max() <= 1e-15
+
+
+def _records_loop(n):
+    """The records law one factor at a time: the Poisson-binomial recurrence
+    over Bernoulli(1/i), i = 1..n, dropping a tail that underflows to 0.0.
+    The reference for records_law's block products."""
+    law = np.zeros(n + 2)
+    law[0] = 1.0
+    top = 0  # law[top + 1:] is exactly zero
+    for i in range(1, n + 1):
+        record = law[: top + 1] / i
+        law[: top + 1] *= (i - 1) / i
+        law[1 : top + 2] += record
+        top += 1
+        while law[top] == 0.0:
+            top -= 1
+    return law[: top + 1].copy()
+
+
+def _padded(*laws):
+    size = max(law.size for law in laws)
+    return [np.pad(law, (0, size - law.size)) for law in laws]
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 1000, 10_000])
+def test_records_law_matches_the_sequential_recurrence(n):
+    # Block boundaries at 64 and 128; the products sum in another order, so
+    # the entries agree to rounding, and the last kept entries (below 1e-300)
+    # may differ in where the tail underflows.
+    law = kernels.records_law(n)
+    assert law[-1] > 0
+    got, want = _padded(law, _records_loop(n))
+    assert np.abs(got - want).max() <= 1e-15
+    big = want > 1e-200
+    assert (np.abs(got - want)[big] <= 1e-12 * want[big]).all()
+
+
+@pytest.mark.parametrize("n", [200, 1000])
+def test_records_law_no_less_accurate_than_the_recurrence(n):
+    exact_law = np.array([0.0] + [float(p) for p in exact.undominated_distribution_2xn(n)])
+    block, loop, want = _padded(kernels.records_law(n), _records_loop(n), exact_law)
+    assert np.abs(block - want).max() <= np.abs(loop - want).max()
+
+
+@pytest.mark.parametrize(
+    "want",
+    [
+        CltReport(100, 20000, 0.1080753449994229, 4.9106, 4.80354781739087, 4.9299391018319705,
+                  4.82264249943689, -0.004829265105852322, 2.7992795410098337),
+        CltReport(10_000, 20000, 0.0841487367032856, 9.71125, 8.637905332766639, 9.73584877465621,
+                  8.763210760632793, 0.09367423133264655, 3.4113237173792803),
+        CltReport(100_000, 20000, 0.08027198530911805, 12.04585, 10.571276341317066, 12.069670770133571,
+                  10.76181874487349, 0.17511893570108156, 3.269348443267043),
+    ],
+    ids=lambda report: f"n{report.n}",
+)
+def test_clt_check_at_a_fixed_seed(want):
+    # The values drawn from the sequential recurrence's law: the block
+    # products move no sample.
+    assert clt_check(want.n, want.samples, Seed(11)) == want
 
 
 class _ExtremeUniforms:

@@ -92,12 +92,16 @@ WORDS = {
     64: (np.uint64, 1),
     65: (np.uint64, 2),
     130: (np.uint64, 3),
+    200: (np.uint64, 4),
+    256: (np.uint64, 4),
+    257: (np.uint64, 5),
 }
 
 
 @pytest.mark.parametrize("k", sorted(WORDS))
 def test_word_boundaries(k):
-    # K = 15, 16 and 17 straddle COMPARE_MAX_K, so both builds are checked
+    # K = 15, 16 and 17 straddle COMPARE_MAX_K, so both builds are checked;
+    # above it each set is moved as one W-word item
     rng = np.random.default_rng(k)
     batch, profiles = 5, 4
     ints = rng.integers(0, 3, (batch, profiles, k))  # ties
@@ -111,9 +115,12 @@ def test_word_boundaries(k):
     bits = 8 * np.dtype(dtype).itemsize
     y = np.arange(k)
 
+    table = kernels._one_hot_words(k).copy()
     for values in (ints, floats):
         beaten = kernels.outrank_bits(values)
         assert beaten.dtype == dtype and beaten.shape == (batch, profiles, k, words)
+        cached = kernels._one_hot_words(k)
+        assert np.array_equal(cached, table) and not cached.flags.writeable
         members = (beaten[..., y // bits] >> (y % bits).astype(dtype)) & 1  # (B, P, x, y)
         assert np.array_equal(members.astype(bool), values[:, :, None, :] > values[:, :, :, None])
 
