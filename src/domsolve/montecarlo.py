@@ -347,7 +347,9 @@ def _mixed_game_bytes(dims: tuple[int, ...]) -> int:
     a payoff cell per player, which covers the float64 payoff stacks with
     the copies the rules gather from them, and, per player and own action,
     one float64 simplex tableau against the opponent profiles with two
-    gap-game copies."""
+    gap-game copies. Players may share a solver call, but only when their
+    widest checks have one shape, so no check is padded past its own
+    player's widest."""
     cells = math.prod(dims)
     return 32 * len(dims) * cells + sum(24 * k * (k + 1) * (k + cells // k + 1) for k in dims)
 

@@ -21,15 +21,18 @@ that are never a best response to any surviving pure opponent profile, an
 ordinal notion) are deletion rules: the per-game references pass theirs to
 :func:`domsolve.elimination._eliminate`, and :func:`rationalizable_batch`,
 which takes one normal-form payoff array per player of N, passes its rule
-to :func:`domsolve._simkernels._fixpoint`. With N >= 3 a mixture must win at
-every opponent profile, so the survivors are the best responses to
-correlated beliefs; rationalizability with independent beliefs differs and
-is out of scope.
+to :func:`domsolve._simkernels._fixpoint`; the batch rule gathers the
+remaining checks of every player and decides them in one call per round and
+check shape, so players whose widest checks agree share a call.
+With N >= 3 a mixture must win at every opponent profile, so the survivors
+are the best responses to correlated beliefs; rationalizability with
+independent beliefs differs and is out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,7 +126,7 @@ class GapSolution:
     fallback: np.ndarray
 
 
-def solve_gap_games(gaps: np.ndarray) -> GapSolution:
+def solve_gap_games(gaps: np.ndarray, sizes: np.ndarray | None = None) -> GapSolution:
     """Solve the zero-sum games ``gaps`` (shape (B, k, p), maximizer on the
     k rows) together.
 
@@ -131,14 +134,18 @@ def solve_gap_games(gaps: np.ndarray) -> GapSolution:
     max 1.y s.t. A y <= 1, y >= 0 starts feasible from the slack basis and
     needs no phase 1. All unfinished problems pivot in lockstep under
     Bland's rule; the slack duals give sigma and y gives tau. A problem that
-    hits the pivot cap, or whose certificates disagree by more than the
-    verification slack, is re-solved with HiGHS.
+    hits its pivot cap, or whose certificates disagree by more than the
+    verification slack, is re-solved with HiGHS. The cap is
+    ``_PIVOTS_PER_DIMENSION`` times the problem's k + p; a caller that pads
+    problems passes their unpadded k + p as ``sizes``.
     """
     gaps = np.asarray(gaps, dtype=float)
     batch, k, p = gaps.shape
+    if sizes is None:
+        sizes = np.full(batch, k + p)
     scale = np.abs(gaps).max(axis=(1, 2), initial=0.0)
     shifted = gaps / np.where(scale > 0, scale, 1.0)[:, None, None] + 2.0
-    duals, primal, capped = _lockstep_simplex(shifted, _PIVOTS_PER_DIMENSION * (k + p))
+    duals, primal, capped = _lockstep_simplex(shifted, _PIVOTS_PER_DIMENSION * sizes)
     sigma = _normalized(duals)
     lower, upper = _certificate_bounds(gaps, sigma, _normalized(primal))
     slack = _VERIFY_SLACK * np.maximum(1.0, scale)
@@ -153,11 +160,12 @@ def solve_gap_games(gaps: np.ndarray) -> GapSolution:
 
 
 def _lockstep_simplex(
-    a: np.ndarray, max_pivots: int
+    a: np.ndarray, caps: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """max 1.y s.t. a[b] y <= 1, y >= 0 for a stack of positive (k, p)
-    matrices. Returns the slack duals (B, k), the primal y (B, p) and a
-    mask of problems left unsolved (pivot cap or a failed ratio test)."""
+    matrices, problem b pivoting at most ``caps[b]`` times. Returns the
+    slack duals (B, k), the primal y (B, p) and a mask of problems left
+    unsolved (pivot cap or a failed ratio test)."""
     batch, k, p = a.shape
     width = p + k
     tableau = np.zeros((batch, k + 1, width + 1))
@@ -170,38 +178,40 @@ def _lockstep_simplex(
     duals = np.zeros((batch, k))
     primal = np.zeros((batch, p))
     unsolved = np.ones(batch, dtype=bool)
-    for pivots in range(max_pivots + 1):
+    rows = ids
+    most = int(caps.max(initial=0))
+    least = caps.min(initial=most)
+    for pivots in range(most + 1):
+        # Bland's rule: the lowest improving column enters; among the rows
+        # tied at the minimum ratio, the one with the lowest basic variable
+        # leaves. No improving column (argmax lands on a False) is optimal.
         improving = tableau[:, k, :width] < -_PIVOT_EPS
-        optimal = ~improving.any(axis=1)
+        entering = improving.argmax(axis=1)
+        optimal = ~improving[rows, entering]
         if optimal.any():
             done = ids[optimal]
             unsolved[done] = False
             duals[done] = tableau[optimal, k, p:width]
             values = np.zeros((done.size, width))
-            np.put_along_axis(values, basis[optimal], tableau[optimal, :k, width], axis=1)
+            values[np.arange(done.size)[:, None], basis[optimal]] = tableau[optimal, :k, width]
             primal[done] = values[:, :p]
-        if pivots == max_pivots:
-            break
-        # Bland's rule: the lowest improving column enters; among the rows
-        # tied at the minimum ratio, the one with the lowest basic variable
-        # leaves.
-        entering = improving.argmax(axis=1)
-        rows = np.arange(ids.size)
-        column = tableau[rows, :k, entering]
-        rhs = np.maximum(tableau[:, :k, width], 0.0)
-        positive = column > _PIVOT_EPS
-        ratio = np.where(positive, rhs / np.where(positive, column, 1.0), np.inf)
-        best = ratio.min(axis=1)
+        column = tableau[rows, :, entering]  # the objective row's entry last
+        ratio = np.full((rows.size, k), np.inf)
+        np.divide(np.maximum(tableau[:, :k, width], 0.0), column[:, :k], out=ratio, where=column[:, :k] > _PIVOT_EPS)
+        best = ratio[rows, ratio.argmin(axis=1)]
         keep = ~optimal & np.isfinite(best)
-        if not keep.any():
-            break
-        tableau, basis, ids = tableau[keep], basis[keep], ids[keep]
-        entering, ratio, best = entering[keep], ratio[keep], best[keep]
-        rows = np.arange(ids.size)
+        if pivots >= least:
+            keep &= caps[ids] > pivots
+        if not keep.all():
+            if not keep.any():
+                break
+            tableau, basis, ids = tableau[keep], basis[keep], ids[keep]
+            entering, column, ratio, best = entering[keep], column[keep], ratio[keep], best[keep]
+            rows = np.arange(ids.size)
         tied = ratio <= best[:, None] + _PIVOT_EPS
         leaving = np.where(tied, basis, width).argmin(axis=1)
-        pivot_row = tableau[rows, leaving] / tableau[rows, leaving, entering][:, None]
-        tableau -= tableau[rows, :, entering][:, :, None] * pivot_row[:, None, :]
+        pivot_row = tableau[rows, leaving] / column[rows, leaving][:, None]
+        tableau -= column[:, :, None] * pivot_row[:, None, :]
         tableau[rows, leaving] = pivot_row
         basis[rows, leaving] = entering
     return duals, primal, unsolved
@@ -340,61 +350,103 @@ def rationalizable_batch(*payoffs: np.ndarray) -> dict:
     player; a bimatrix is ``(u_row, u_col)``.
 
     Same shortcuts and verdicts as :func:`rationalizable_sets`, game by game,
-    but one round of every unfinished game runs together (the rule
-    :func:`_round_removals`): best responses and pure dominance are masked
-    array operations, and the remaining checks of a player's round go to
-    :func:`solve_gap_games` in one call, padded to one shape; with N >= 3
-    that keeps the best responses to correlated beliefs. Returns the
-    surviving masks under ``"rationalizable"``, the per-game round counts
-    under ``"iterations"``, and how many checks needed a solver
-    (``"lp_checks"``) and HiGHS (``"lp_fallbacks"``).
+    but one round of every unfinished game runs together: best responses
+    and pure dominance are masked array operations (:func:`_round_checks`),
+    and the remaining checks of all players go to :func:`solve_gap_games` in
+    one call per round and check shape (:func:`_decide`); with N >= 3 that
+    keeps the best responses to correlated beliefs. Returns the surviving masks under
+    ``"rationalizable"``, the per-game round counts under ``"iterations"``,
+    and how many checks needed a solver (``"lp_checks"``) and HiGHS
+    (``"lp_fallbacks"``).
     """
     stacks = kernels._stacks(payoffs)  # (B, own actions, opponent profiles)
     beaten = [kernels.outrank_bits(s.transpose(0, 2, 1)) for s in stacks]  # once per batch
     solved = {"lp_checks": 0, "lp_fallbacks": 0}
 
     def removed(sel, live):
-        out = []
-        for k, s in enumerate(stacks):
-            gone, fallback = _round_removals(
-                s[sel], live[k], kernels._profiles_alive(live, k), beaten[k][sel]
-            )
-            out.append(gone)
+        checks = [
+            _round_checks(s[sel], live[k], kernels._profiles_alive(live, k), beaten[k][sel])
+            for k, s in enumerate(stacks)
+        ]
+        shapes: dict = {}
+        for c in checks:
+            if c.games.size:
+                shapes.setdefault(c.shape, []).append(c)
+        for group in shapes.values():
+            fallback = _decide(group)
             solved["lp_checks"] += fallback.size
             solved["lp_fallbacks"] += int(fallback.sum())
-        return out
+        return [c.gone for c in checks]
 
     alive, rounds = kernels._fixpoint(payoffs[0].shape[0], payoffs[0].shape[1:], removed)
     return {"rationalizable": tuple(alive), "iterations": rounds, **solved}
 
 
-def _round_removals(
-    payoffs: np.ndarray, own: np.ndarray, opp: np.ndarray, beaten: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mixed-dominated actions among ``own`` (B, K) against ``opp`` (B, Q)
-    for payoff stacks (B, K, Q), and the fallback flags of the checks that
-    needed a solver. ``beaten`` holds the payoffs' outrank bitsets (ties do
-    not outrank), which decide pure dominance. The remaining checks go to
-    :func:`solve_gap_games` in one call, each padded to the widest check
-    with copies of its first alternative and first opponent profile. Copies
-    change neither a gap game's value nor its scaling, nor Bland's pivots:
-    a copied column improves only when its lower-indexed original does, and
-    a copied row ties its original, which leaves first."""
+class _RoundChecks(NamedTuple):
+    """One player's part of a round of payoff stacks ``payoffs`` (B, K, Q):
+    the (B, K) mask ``gone`` of the actions it deletes, pure dominance
+    first and the solver's verdicts written in later, and the C checks that
+    need a solver: action ``targets`` of game ``games`` against the other
+    alive own actions (``alternatives``, (C, K)) and the alive opponent
+    profiles (``profiles``, (C, Q)), with tolerance ``tol``."""
+
+    gone: np.ndarray
+    payoffs: np.ndarray
+    games: np.ndarray
+    targets: np.ndarray
+    alternatives: np.ndarray
+    profiles: np.ndarray
+    tol: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The most alternatives and profiles of a check (C >= 1)."""
+        return int(self.alternatives.sum(axis=1).max()), int(self.profiles.sum(axis=1).max())
+
+
+def _round_checks(payoffs: np.ndarray, own: np.ndarray, opp: np.ndarray, beaten: np.ndarray) -> _RoundChecks:
+    """Pure dominance and the remaining checks among ``own`` (B, K) against
+    ``opp`` (B, Q) for payoff stacks (B, K, Q). ``beaten`` holds the
+    payoffs' outrank bitsets (ties do not outrank), which decide pure
+    dominance; a best response to an alive profile is never dominated, so
+    it gets no check."""
     gone = kernels._dominated(payoffs.transpose(0, 2, 1), own, opp, beaten)
     games, targets = np.nonzero(kernels.never_best_responses(payoffs, own, opp) & ~gone)
-    if not games.size:
-        return gone, np.zeros(0, dtype=bool)
-    rows = _padded(own[games] & (np.arange(own.shape[1]) != targets[:, None]))
-    cols = _padded(opp[games])
-    sub = payoffs[games[:, None, None], rows[:, :, None], cols[:, None, :]]
-    solution = solve_gap_games(sub - payoffs[games[:, None], targets[:, None], cols][:, None, :])
-    tol = _default_tol(np.where(own[:, :, None] & opp[:, None, :], payoffs, 0.0))
-    gone[games, targets] = solution.lower > tol[games]
-    return gone, solution.fallback
+    own, opp = own[games], opp[games]
+    tol = _default_tol(np.where(own[:, :, None] & opp[:, None, :], payoffs[games], 0.0))
+    alternatives = own & (np.arange(own.shape[1]) != targets[:, None])
+    return _RoundChecks(gone, payoffs, games, targets, alternatives, opp, tol)
+
+
+def _decide(checks: list[_RoundChecks]) -> np.ndarray:
+    """Decide the checks of players whose widest checks have one shape in
+    one :func:`solve_gap_games` call: write each verdict (margin above the
+    tolerance) into its ``gone`` mask, and return the fallback flags. Each
+    check is padded to that shape (:func:`_padded`), never past its own
+    player's widest, and keeps the pivot cap of its unpadded size. Padding
+    to another player's wider shape measured slower on non-square games
+    than a call of its own."""
+    gaps = []
+    for c in checks:
+        rows, cols = _padded(c.alternatives), _padded(c.profiles)
+        sub = c.payoffs[c.games[:, None, None], rows[:, :, None], cols[:, None, :]]
+        gaps.append(sub - c.payoffs[c.games[:, None], c.targets[:, None], cols][:, None, :])
+    sizes = np.concatenate([c.alternatives.sum(axis=1) + c.profiles.sum(axis=1) for c in checks])
+    solution = solve_gap_games(np.concatenate(gaps), sizes=sizes)
+    start = 0
+    for c in checks:
+        stop = start + c.games.size
+        c.gone[c.games, c.targets] = solution.lower[start:stop] > c.tol
+        start = stop
+    return solution.fallback
 
 
 def _padded(mask: np.ndarray) -> np.ndarray:
-    """Each row's set indices in order, padded to the longest with the first."""
+    """Each row's set indices in order, padded to the longest with the
+    first. Copies of a gap game's first alternative and first opponent
+    profile change neither its value nor its scaling, nor Bland's pivots: a
+    copied column improves only when its lower-indexed original does, and a
+    copied row ties its original, which leaves first."""
     order = np.argsort(~mask, axis=1, kind="stable")[:, : mask.sum(axis=1).max()]
     return np.where(np.take_along_axis(mask, order, axis=1), order, order[:, :1])
 

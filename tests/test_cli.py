@@ -604,18 +604,51 @@ def test_out_file_and_env_dir(capsys, tmp_path, monkeypatch):
 
 
 HUGE = str(10**20)
+# Flag combinations a game source refuses (exit 2).
+_SIMULATE = ("simulate", "--metric", "pi", "--samples", "50", "--seed", "1")
+_GENERATE = ("game", "generate", "--seed", "1")
+REFUSED_SOURCES = [
+    (*_SIMULATE,),  # neither --m/--n nor --dims
+    (*_SIMULATE, "--m", "2"),
+    (*_SIMULATE, "--dims", "3"),  # one player
+    (*_SIMULATE, "--dims", "2,0"),
+    (*_SIMULATE, "--m", "2", "--n", "3", "--class", "symmetric"),
+    (*_SIMULATE, "--m", "2", "--n", "3", "--class", "strat-complements-sym"),
+    (*_SIMULATE, "--m", "2", "--n", "2", "--dist", "normal", "--alpha", "0.5"),
+    (*_GENERATE, "--m", "2", "--n", "3", "--class", "symmetric"),
+    (*_GENERATE, "--dist", "normal", "--alpha", "0.5"),
+    (*_GENERATE, "--dims", "2,2", "--cardinal"),
+] + [
+    (*command, "--dims", "2,2", *flags)
+    for command in (_SIMULATE, _GENERATE)
+    for flags in (("--class", "potential"), ("--dist", "normal"), ("--alpha", "0.5"))
+]
+CLASSES = [c.value for c in games.GameClass]
+# Every class under the uniform law, and the normal law on the baseline.
+PAYOFF_LAWS = [("--class", c) for c in CLASSES] + [("--dist", d) for d in games.DISTRIBUTIONS if d != games.UNIFORM]
 # Each subcommand with small valid values, and the numeric options to vary;
-# --dims and --grid take the value as their first number.
+# --dims and --grid take the value as their first number. Every table,
+# metric, class and distribution name is a base.
 _BOUNDARY_BASES = (
     [(("exact", table, "--m", "2", "--n", "5"), ("--m", "--n")) for table in _EXACT_TABLES]
     + [(("enumerate", what, "--n", "3"), ("--n",)) for what in ("full2xn", "uc3xn", "class2x2", "pointrat2x2")]
+    + [(("enumerate", "class2x2", "--class", c, "--n", "3"), ("--n",)) for c in CLASSES]
     + [
         (
             ("simulate", "--metric", metric, "--m", "2", "--n", "3", "--samples", "200", "--seed", "1",
              "--stream", "0", "--batch-size", "64", "--threads", "1"),
             ("--m", "--n", "--dims", "--alpha", "--samples", "--seed", "--stream", "--batch-size", "--threads"),
         )
-        for metric in ("pi", "mixed-pi")
+        for metric in montecarlo.METRICS
+    ]
+    + [
+        (("simulate", "--metric", "pi", "--m", "3", "--n", "3", *law, "--samples", "200", "--seed", "1"),
+         ("--m", "--n", "--alpha"))
+        for law in PAYOFF_LAWS
+    ]
+    + [
+        (("game", "generate", "--m", "3", "--n", "3", *law, "--seed", "1"), ("--m", "--n", "--alpha"))
+        for law in PAYOFF_LAWS
     ]
     + [
         (
@@ -671,7 +704,7 @@ BOUNDARY_CASES = [
     ["diagnose", "clt", "--n", "100", "--samples", "2", "--seed", "1"],
     ["diagnose", "clt", "--n", "100", "--samples", "100000000"],
     ["exact", "solvability", "--n", "1..100000000000"],
-]
+] + [list(argv) for argv in REFUSED_SOURCES]
 # Seconds per case; every case takes well under 0.2 s.
 BOUNDARY_BUDGET = 2.0
 
@@ -699,4 +732,5 @@ def test_boundary_values_exit_cleanly(capsys, argv):
     elapsed = time.perf_counter() - start
     err = capsys.readouterr().err
     assert code in (0, 2, 3, 4) and "Traceback" not in err, err
+    assert code == 2 or tuple(argv) not in REFUSED_SOURCES
     assert elapsed < BOUNDARY_BUDGET

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
 from domsolve import _simkernels as kernels
-from domsolve import rationalizability
+from domsolve import montecarlo, rationalizability
 from domsolve.elimination import _eliminate, _opponent_profiles, iterate
 from domsolve.games import (
     COL,
@@ -25,6 +25,7 @@ from domsolve.games import (
 from domsolve.rationalizability import (
     MixedCertificate,
     _default_tol,
+    _lockstep_simplex,
     _padded,
     _payoff_view,
     is_mixed_dominated,
@@ -449,3 +450,107 @@ def test_padding_keeps_gap_game_solutions(k, p, extra_k, extra_p, integer, seed)
     assert ((plain.lower > tol) == (padded.lower > tol)).all()
     assert (np.abs(plain.lower - padded.lower) <= 1e-12 * scale).all()
     assert not padded.fallback.any()
+
+
+def test_pivot_caps_count_each_problem_own_pivots():
+    # The least cap that solves a problem is its pivot count. A copy padded
+    # with its first row and column needs exactly as many pivots, so the
+    # cap of its unpadded size is enough; caps differ within one stack.
+    rng = np.random.default_rng(611)
+    a = 1.0 + rng.random((40, 4, 5))
+    padded = a[:, [0, 1, 2, 3, 0, 0]][:, :, [0, 1, 2, 3, 4, 0, 0]]
+
+    def pivots(stack):
+        return np.array([
+            next(c for c in range(100) if not _lockstep_simplex(s[None], np.array([c]))[2][0]) for s in stack
+        ])
+
+    need = pivots(a)
+    assert (pivots(padded) == need).all() and need.min() >= 1 and need.max() > need.min()
+    assert _lockstep_simplex(a, need - 1)[2].all()
+    duals, primal, unsolved = _lockstep_simplex(a, need)
+    assert not unsolved.any()
+    for b in range(40):
+        alone = _lockstep_simplex(a[b : b + 1], need[b : b + 1])
+        assert np.array_equal(alone[0][0], duals[b]) and np.array_equal(alone[1][0], primal[b])
+
+
+def _round_solves(monkeypatch, payoffs):
+    """Run ``rationalizable_batch`` and return, per fixpoint round, the
+    padded (checks, k, p) shape of each gap-game solve and the number of
+    players whose checks went to it."""
+    rounds = []
+    fixpoint, decide, solve = kernels._fixpoint, rationalizability._decide, rationalizability.solve_gap_games
+
+    def counted_fixpoint(batch, sizes, removed):
+        def rule(sel, live):
+            rounds.append([])
+            return removed(sel, live)
+
+        return fixpoint(batch, sizes, rule)
+
+    def counted_decide(checks):
+        rounds[-1].append([None, len(checks)])
+        return decide(checks)
+
+    def counted_solve(gaps, *args, **kwargs):
+        rounds[-1][-1][0] = gaps.shape
+        return solve(gaps, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_fixpoint", counted_fixpoint)
+    monkeypatch.setattr(rationalizability, "_decide", counted_decide)
+    monkeypatch.setattr(rationalizability, "solve_gap_games", counted_solve)
+    mixed = rationalizability.rationalizable_batch(*payoffs)
+    assert mixed["lp_checks"] == sum(shape[0] for r in rounds for shape, _ in r)
+    return rounds
+
+
+# In 2x3x2 only the middle player has LP checks (with two actions, a
+# never-best-response is purely dominated); in 3x2x3 the two outer players
+# have them, with one widest shape as long as their alive sets match.
+@pytest.mark.parametrize("dims, merges", [((4, 4), True), ((3, 5), False), ((2, 3, 2), False), ((3, 2, 3), True)])
+def test_one_gap_game_solve_per_round_and_shape(monkeypatch, dims, merges):
+    rng = np.random.default_rng([612, *dims])
+    if len(dims) == 2:
+        payoffs = sample_class_batch(rng, 200, *dims)
+    else:
+        payoffs = kernels.normal_form(sample_tensor_batch(rng, 200, dims))
+    rounds = _round_solves(monkeypatch, payoffs)
+    solves = [shape[1:] for r in rounds for shape, _ in r]
+    assert solves and all(len({shape[1:] for shape, _ in r}) == len(r) for r in rounds)
+    assert max(len(r) for r in rounds) <= len(dims)
+    assert any(players > 1 for r in rounds for _, players in r) == merges
+
+
+@pytest.mark.parametrize("dims", [(3, 40), (40, 3), (5, 12), (8, 30), (3, 4, 5)])
+def test_round_solves_fit_the_capacity_estimate(monkeypatch, dims):
+    # Checks are padded only to their own player's widest, so each solve's
+    # (k, p) is one a single player's check can have, and its gaps and
+    # tableau (three float64 arrays of (k + 1) x (k + p + 1) per check,
+    # counted generously) fit in the solver share of the capacity guard's
+    # per-game estimate.
+    games = 40
+    rng = np.random.default_rng([614, *dims])
+    if len(dims) == 2:
+        payoffs = sample_class_batch(rng, games, *dims)
+    else:
+        payoffs = kernels.normal_form(sample_tensor_batch(rng, games, dims))
+    widest = [(d - 1, math.prod(dims) // d) for d in dims]
+    share = montecarlo._mixed_game_bytes(dims) - 32 * len(dims) * math.prod(dims)
+    rounds = _round_solves(monkeypatch, payoffs)
+    sizes = [shape for r in rounds for shape, _ in r]
+    assert sizes and all(any(k <= a and p <= q for a, q in widest) for _, k, p in sizes)
+    assert max(24 * c * (k + 1) * (k + p + 1) for c, k, p in sizes) <= games * share
+
+
+@pytest.mark.parametrize("m, n", [(3, 5), (5, 3)])
+def test_batch_matches_per_game_sets_when_widths_differ(m, n):
+    # Row's checks have at most m - 1 alternatives against n profiles and
+    # Column's n - 1 against m, so one round pads one player's to the other's.
+    u_row, u_col = sample_class_batch(np.random.default_rng([613, m, n]), 150, m, n)
+    mixed = rationalizability.rationalizable_batch(u_row, u_col)
+    assert mixed["lp_checks"] > 0 and mixed["lp_fallbacks"] == 0
+    for g in range(150):
+        report = rationalizable_sets(CardinalBimatrix(u_row[g].tolist(), u_col[g].tolist()))
+        assert tuple(tuple(np.flatnonzero(a[g]).tolist()) for a in mixed["rationalizable"]) == report.rationalizable
+        assert mixed["iterations"][g] == report.mixed_iterations

@@ -165,6 +165,14 @@ def test_every_ordinal_3x3_game():
     assert Fraction(int(out["solvable"].sum()), 46656) == Fraction(7, 16)
     assert Fraction(int(out["u_c"].sum()), 46656) == exact.mean_undominated(3, 3)
     assert Fraction(int(out["u_r"].sum()), 46656) == exact.mean_undominated(3, 3)
+    # Ranks read as payoffs: a never-best-response rank vector is matched by
+    # a 50/50 mixture but never beaten, so every LP check sits at value 0,
+    # the tolerance decides, and the mixed survivors are the pure ones.
+    mixed = rationalizability.rationalizable_batch(rr.astype(float), cc.astype(float))
+    for got, want in zip(mixed["rationalizable"], out["alive"]):
+        assert np.array_equal(got, want)
+    assert np.array_equal(mixed["iterations"], out["iterations"])
+    assert (mixed["lp_checks"], mixed["lp_fallbacks"]) == (29808, 0)
 
 
 SIDES = st.one_of(st.integers(1, 4), st.integers(60, 70))
