@@ -175,8 +175,10 @@ def _run_elimination(
     """Bimatrix fixpoint restricted to initial sets ``rows``/``cols``.
 
     Returns (rounds, surviving_rows, surviving_cols, undominated_row_count,
-    undominated_col_count), the U-counts taken from the first round.
-    ``perfbench/tracing.py`` wraps this name here and in :mod:`enumeration`.
+    undominated_col_count), the U-counts taken from the first round. No
+    code in the package calls it: the tests use it as the 2 x n reference,
+    and ``perfbench/tracing.py`` wraps this name here and in
+    :mod:`enumeration`, which binds it for that purpose only.
     """
     rounds, (rows, cols), (u_r, u_c) = _eliminate(
         _pure((row_ranks, tuple(zip(*col_ranks))), (len(row_ranks), len(col_ranks[0]))),

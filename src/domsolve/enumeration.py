@@ -4,10 +4,11 @@ These decide every equiprobable state of a finite outcome space and count
 the outcomes, producing exact rational distributions that the closed forms
 in :mod:`domsolve.exact` must match with zero tolerance. The 2 x n states go
 through the batch elimination kernel of :mod:`domsolve._simkernels` in
-chunks, the 3 x n table is counted on the outrank bitsets of the
-permutations, and the 2 x 2 classes run the scalar engine of
-:mod:`domsolve.elimination`. The test suite checks the batch paths against
-the scalar engine state by state and against the raw dominance definition.
+chunks, each 2 x 2 class's states (built from the cell orderings of 1..4)
+go through it in one call, and the 3 x n table is counted on the outrank
+bitsets of the permutations. The test suite checks the batch paths against
+the scalar engine of :mod:`domsolve.elimination` state by state and against
+the raw dominance definition.
 """
 
 from __future__ import annotations
@@ -15,16 +16,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import _simkernels as kernels
-from .elimination import _run_elimination
+# The scalar reference, bound here only for the benchmark's tracer
+# (perfbench/tracing.py installs a span on enumeration._run_elimination).
+from .elimination import _run_elimination  # noqa: F401
 from .exact import CapacityError
-from .games import CardinalBimatrix, GameClass, OrdinalBimatrix, _action_index, check_action_sets, ordinalize
-from .rationalizability import _payoff_view, point_rationalizable_sets
+from .games import CardinalBimatrix, GameClass, _action_index, check_action_sets, rank_along
+from .rationalizability import _payoff_view
 
 MAX_FULL_2XN = 8
 MAX_UC_3XN = 6
@@ -172,98 +176,54 @@ class Class2x2Report:
     survivor_pair_probs: dict[tuple[int, int], Fraction]
 
 
-def _ordinal_key(game: OrdinalBimatrix) -> tuple:
-    return (game.row_ranks, game.col_ranks)
+def _states_2x2(game_class: GameClass) -> tuple[np.ndarray, np.ndarray]:
+    """Row's and Column's (S, 2, 2) payoff stacks of the equiprobable states
+    of a 2 x 2 class, built from the 24 cell orderings R of 1..4.
 
-
-def _int_cardinal(u_row, u_col) -> CardinalBimatrix:
-    return CardinalBimatrix(
-        [[float(x) for x in row] for row in u_row],
-        [[float(x) for x in row] for row in u_col],
-    )
-
-
-def _class_2x2_states(game_class: GameClass):
-    """Yield (ordinal game, weight) pairs over the class's discrete structure."""
-    if game_class is GameClass.BASELINE:
-        for bits_r in range(4):
-            rr = [[0, 0], [0, 0]]
-            for j in range(2):
-                rr[0][j] = 2 if bits_r >> j & 1 else 1
-                rr[1][j] = 3 - rr[0][j]
-            for bits_c in range(4):
-                cc = [[0, 0], [0, 0]]
-                for i in range(2):
-                    cc[i][0] = 2 if bits_c >> i & 1 else 1
-                    cc[i][1] = 3 - cc[i][0]
-                yield OrdinalBimatrix(rr, cc), 1
-        return
-
-    cells = list(itertools.permutations((1, 2, 3, 4)))
-
-    def matrix(vals):
-        return [[vals[0], vals[1]], [vals[2], vals[3]]]
-
-    if game_class in (GameClass.SYMMETRIC, GameClass.POTENTIAL, GameClass.CONSTANT_SUM):
-        for vals in cells:
-            r = matrix(vals)
-            if game_class is GameClass.SYMMETRIC:
-                u_col = [[r[0][0], r[1][0]], [r[0][1], r[1][1]]]
-            elif game_class is GameClass.POTENTIAL:
-                u_col = r
-            else:
-                u_col = [[5 - x for x in row] for row in r]
-            yield ordinalize(_int_cardinal(r, u_col)), 1
-        return
-
-    # Strategic complementarities: condition by rejection over the cell
-    # orderings, the enumeration-side ground truth for the direct sampler.
-    def br_rows_nondecreasing(r):
-        best = [0 if r[0][j] > r[1][j] else 1 for j in range(2)]
-        return best[0] <= best[1]
-
-    def br_cols_nondecreasing(c):
-        best = [0 if c[i][0] > c[i][1] else 1 for i in range(2)]
-        return best[0] <= best[1]
-
-    accepted_r = [matrix(v) for v in cells if br_rows_nondecreasing(matrix(v))]
-    if game_class is GameClass.STRAT_COMPLEMENTS_SYM:
-        for r in accepted_r:
-            u_col = [[r[0][0], r[1][0]], [r[0][1], r[1][1]]]
-            yield ordinalize(_int_cardinal(r, u_col)), 1
-        return
-    accepted_c = [matrix(v) for v in cells if br_cols_nondecreasing(matrix(v))]
-    for r in accepted_r:
-        for c in accepted_c:
-            yield ordinalize(_int_cardinal(r, c)), 1
+    Baseline pairs two orderings (576 states). Symmetric and
+    strat-complements-sym use (R, R^T), potential (R, R) and constant-sum
+    (R, 5 - R). The complements classes keep only the orderings whose best
+    response map is nondecreasing (each column's best row for Row, each
+    row's best column for Column): conditioning by rejection, the
+    enumeration-side ground truth for the direct sampler, kept apart from
+    the sampler's own construction. Strat-complements pairs the accepted
+    orderings (324 states).
+    """
+    cells = _permutations(4).reshape(-1, 2, 2)
+    if game_class in (GameClass.STRAT_COMPLEMENTS, GameClass.STRAT_COMPLEMENTS_SYM):
+        rows = cells[(np.diff(cells.argmax(axis=1), axis=1) >= 0).all(axis=1)]
+        cols = cells[(np.diff(cells.argmax(axis=2), axis=1) >= 0).all(axis=1)]
+    else:
+        rows = cols = cells
+    if game_class in (GameClass.BASELINE, GameClass.STRAT_COMPLEMENTS):
+        return np.repeat(rows, len(cols), axis=0), np.tile(cols, (len(rows), 1, 1))
+    if game_class in (GameClass.SYMMETRIC, GameClass.STRAT_COMPLEMENTS_SYM):
+        return rows, rows.transpose(0, 2, 1)
+    if game_class is GameClass.POTENTIAL:
+        return rows, rows
+    return rows, 5 - rows
 
 
 def enumerate_class_2x2(game_class: GameClass) -> Class2x2Report:
     """Exact distribution of (solvable, iterations, survivor pair) for 2 x 2
-    games of the given class, by enumerating the underlying discrete
-    structure (cell orderings, with rejection for the conditioned classes)."""
-    outcome: dict[tuple, int] = {}
-    solvable = 0
-    iterations: dict[int, int] = {}
-    pairs: dict[tuple[int, int], int] = {}
-    total = 0
-    for game, weight in _class_2x2_states(game_class):
-        total += weight
-        outcome[_ordinal_key(game)] = outcome.get(_ordinal_key(game), 0) + weight
-        rounds, rows, cols, _, _ = _run_elimination(
-            game.row_ranks, game.col_ranks, (0, 1), (0, 1)
-        )
-        if len(rows) == 1 and len(cols) == 1:
-            solvable += weight
-        iterations[len(rounds)] = iterations.get(len(rounds), 0) + weight
-        key = (len(rows), len(cols))
-        pairs[key] = pairs.get(key, 0) + weight
+    games of the given class, by deciding every state of
+    :func:`_states_2x2` in one ``_simkernels.eliminate_batch`` call. The
+    test suite checks every state against the scalar engine of
+    :mod:`domsolve.elimination`."""
+    u_row, u_col = _states_2x2(game_class)
+    row_ranks, col_ranks = rank_along(u_row, 1).tolist(), rank_along(u_col, 2).tolist()
+    out = kernels.eliminate_batch(u_row, u_col)
+    total = len(u_row)
+
+    def probs(keys) -> dict:
+        return {k: Fraction(v, total) for k, v in Counter(keys).items()}
+
     return Class2x2Report(
         game_class=game_class,
-        outcome_probs={k: Fraction(v, total) for k, v in outcome.items()},
-        solvable_probability=Fraction(solvable, total),
-        iteration_probs={k: Fraction(v, total) for k, v in iterations.items()},
-        survivor_pair_probs={k: Fraction(v, total) for k, v in pairs.items()},
+        outcome_probs=probs((tuple(map(tuple, r)), tuple(map(tuple, c))) for r, c in zip(row_ranks, col_ranks)),
+        solvable_probability=Fraction(int(out["solvable"].sum()), total),
+        iteration_probs=probs(out["iterations"].tolist()),
+        survivor_pair_probs=probs(zip(out["s_r"].tolist(), out["s_c"].tolist())),
     )
 
 
@@ -318,12 +278,7 @@ def grid_mixed_dominance_oracle(
 
 def enumerate_point_rat_2x2() -> Fraction:
     """Probability that a random 2 x 2 game has a unique point-rationalizable
-    profile, by enumerating all 16 equiprobable ordinal states."""
-    unique = 0
-    total = 0
-    for game, weight in _class_2x2_states(GameClass.BASELINE):
-        total += weight
-        rat_rows, rat_cols = point_rationalizable_sets(game)
-        if len(rat_rows) == 1 and len(rat_cols) == 1:
-            unique += weight
-    return Fraction(unique, total)
+    profile, by one ``_simkernels.point_rationalizable_counts`` call on the
+    576 equiprobable baseline states."""
+    rows, cols = kernels.point_rationalizable_counts(*_states_2x2(GameClass.BASELINE))
+    return Fraction(int(((rows == 1) & (cols == 1)).sum()), len(rows))

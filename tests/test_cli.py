@@ -230,6 +230,17 @@ def test_enumerate_pointrat(capsys):
     assert rows[0]["unique_point_rationalizable"] == "3/4"
 
 
+ENUMERATE_2X2_STDOUT = json.loads((Path(__file__).parent / "data" / "enumerate_2x2_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(ENUMERATE_2X2_STDOUT))
+def test_enumerate_2x2_stdout_is_pinned(capsys, command):
+    # Every class2x2 class in csv and json, and pointrat2x2, byte for byte.
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == ENUMERATE_2X2_STDOUT[command]
+
+
 def test_enumerate_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "enumerate", "uc3xn", "--n", "9")
     assert code == 3

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,12 @@ from scipy import stats
 
 from domsolve import _simkernels as kernels
 from domsolve import enumeration, exact
-from domsolve.elimination import _run_elimination
+from domsolve.elimination import _run_elimination, iterate, metrics
 from domsolve.enumeration import (
     Class2x2Report,
     _permutations,
     _simplex_grid,
+    _states_2x2,
     _states_2xn,
     enumerate_2xn,
     enumerate_class_2x2,
@@ -21,8 +23,8 @@ from domsolve.enumeration import (
     grid_mixed_dominance_oracle,
 )
 from domsolve.exact import CapacityError
-from domsolve.games import CardinalBimatrix, GameClass, Seed
-from domsolve.rationalizability import is_mixed_dominated
+from domsolve.games import CardinalBimatrix, GameClass, OrdinalBimatrix, Seed, rank_along
+from domsolve.rationalizability import is_mixed_dominated, point_rationalizable_sets
 
 TABLE_3XN = {
     1: [1],
@@ -169,6 +171,60 @@ def test_class_2x2_probabilities_sum_to_one():
         assert sum(report.survivor_pair_probs.values()) == 1
 
 
+def class_2x2_states_brute(cls):
+    """(Row, Column) payoff matrices of a 2 x 2 class's states, from the
+    class definitions over the cell orderings of 1..4, one state at a time."""
+    cells = [((a, b), (c, d)) for a, b, c, d in itertools.permutations((1, 2, 3, 4))]
+
+    def transpose(r):
+        return tuple(zip(*r))
+
+    # Best row of column j is r[1][j] > r[0][j]; best column of row i is
+    # c[i][1] > c[i][0]. Complements need both maps nondecreasing.
+    rows_up = [r for r in cells if (r[1][0] > r[0][0]) <= (r[1][1] > r[0][1])]
+    cols_up = [c for c in cells if (c[0][1] > c[0][0]) <= (c[1][1] > c[1][0])]
+    return {
+        GameClass.BASELINE: [(r, c) for r in cells for c in cells],
+        GameClass.SYMMETRIC: [(r, transpose(r)) for r in cells],
+        GameClass.POTENTIAL: [(r, r) for r in cells],
+        GameClass.CONSTANT_SUM: [(r, tuple(tuple(5 - x for x in row) for row in r)) for r in cells],
+        GameClass.STRAT_COMPLEMENTS: [(r, c) for r in rows_up for c in cols_up],
+        GameClass.STRAT_COMPLEMENTS_SYM: [(r, transpose(r)) for r in rows_up],
+    }[cls]
+
+
+@pytest.mark.parametrize("cls", list(GameClass))
+def test_every_2x2_class_state_matches_scalar_engine(cls):
+    # The batch oracle's states against the class definitions, then every
+    # state (990 over the six classes) against the scalar engine: survivor
+    # sets, rounds and solvability, and the report's tallies against the
+    # scalar ones.
+    u_row, u_col = _states_2x2(cls)
+    states = [tuple(map(tuple, r)) + tuple(map(tuple, c)) for r, c in zip(u_row.tolist(), u_col.tolist())]
+    assert sorted(states) == sorted(r + c for r, c in class_2x2_states_brute(cls))
+    out = kernels.eliminate_batch(u_row, u_col)
+    games = [OrdinalBimatrix(r, c) for r, c in zip(rank_along(u_row, 1).tolist(), rank_along(u_col, 2).tolist())]
+    outcomes, iterations, pairs = Counter(), Counter(), Counter()
+    for s, game in enumerate(games):
+        trace, m = iterate(game), metrics(game)
+        assert tuple(tuple(np.flatnonzero(a[s]).tolist()) for a in out["alive"]) == trace.surviving, (cls, s)
+        got = tuple(out[key][s].item() for key in ("u_r", "u_c", "s_r", "s_c", "iterations", "solvable"))
+        assert got == (m.u_r, m.u_c, m.s_r, m.s_c, trace.iterations, trace.solvable), (cls, s)
+        outcomes[game.row_ranks, game.col_ranks] += 1
+        iterations[m.iterations] += 1
+        pairs[m.s_r, m.s_c] += 1
+    total = len(games)
+    report = enumerate_class_2x2(cls)
+    assert report.solvable_probability == Fraction(pairs[1, 1], total)
+    assert report.outcome_probs == {k: Fraction(v, total) for k, v in outcomes.items()}
+    assert report.iteration_probs == {k: Fraction(v, total) for k, v in iterations.items()}
+    assert report.survivor_pair_probs == {k: Fraction(v, total) for k, v in pairs.items()}
+    if cls is GameClass.BASELINE:
+        counts = kernels.point_rationalizable_counts(u_row, u_col)
+        for s, game in enumerate(games):
+            assert (counts[0][s], counts[1][s]) == tuple(map(len, point_rationalizable_sets(game))), s
+
+
 @pytest.mark.parametrize(
     "cls",
     [
@@ -270,13 +326,11 @@ def test_point_rat_2x2():
 def test_point_rat_2x2_complement_is_full_survival():
     # The non-unique 2 x 2 games are exactly those where every action is a
     # best response, so the deletion fixpoint is the full game.
-    from domsolve.enumeration import _class_2x2_states
-    from domsolve.rationalizability import point_rationalizable_sets
-
+    u_row, u_col = _states_2x2(GameClass.BASELINE)
     non_unique = 0
-    for game, _ in _class_2x2_states(GameClass.BASELINE):
-        rows, cols = point_rationalizable_sets(game)
+    for r, c in zip(rank_along(u_row, 1).tolist(), rank_along(u_col, 2).tolist()):
+        rows, cols = point_rationalizable_sets(OrdinalBimatrix(r, c))
         if len(rows) != 1 or len(cols) != 1:
             non_unique += 1
             assert rows == (0, 1) and cols == (0, 1)
-    assert Fraction(non_unique, 16) == Fraction(1, 4)
+    assert Fraction(non_unique, len(u_row)) == Fraction(1, 4)

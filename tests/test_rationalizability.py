@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -242,10 +243,12 @@ def test_point_rationalizable_column_count_scaling():
     # the sqrt(pi n)/2 law at small n, and the upward trend of the ratio.
     from fractions import Fraction
 
-    from domsolve.enumeration import _class_2x2_states
-
+    # The 16 ordinal 2 x 2 games: each column of Row's ranks and each row of
+    # Column's ranks is one of the two orders of (1, 2).
+    orders = ((1, 2), (2, 1))
     total = Fraction(0)
-    for game, _ in _class_2x2_states(GameClass.BASELINE):
+    for rows, cols in itertools.product(itertools.product(orders, repeat=2), repeat=2):
+        game = OrdinalBimatrix(tuple(zip(*rows)), cols)
         total += Fraction(len(point_rationalizable_sets(game)[1]), 16)
     assert total == Fraction(5, 4)
 
