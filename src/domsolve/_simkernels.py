@@ -45,11 +45,43 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Sequence
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .games import GameClass, rank_along, sample_class_batch, sample_tensor_batch
+
+
+def run_work_items(worker: Callable, items: Sequence[tuple], threads: int) -> list:
+    """``worker(*item)`` for every item, in item order. Two or more items
+    run on min(threads, items, CPUs) threads, the calling thread and a pool
+    of the others, each taking the next item not yet taken; callers merge
+    the results so that they do not depend on the count."""
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    results = [None] * len(items)
+    lock = threading.Lock()
+    order = iter(range(len(items)))
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = next(order, None)
+            if i is None:
+                return
+            results[i] = worker(*items[i])
+
+    if workers <= 1:
+        drain()
+        return results
+    with ThreadPoolExecutor(max_workers=workers - 1) as pool:
+        others = [pool.submit(drain) for _ in range(workers - 1)]
+        drain()
+        for other in others:
+            other.result()
+    return results
 
 
 def sample_rank_batch(

@@ -4,11 +4,16 @@ These decide every equiprobable state of a finite outcome space and count
 the outcomes, producing exact rational distributions that the closed forms
 in :mod:`domsolve.exact` must match with zero tolerance. The 2 x n states go
 through the batch elimination kernel of :mod:`domsolve._simkernels` in
-chunks, each 2 x 2 class's states (built from the cell orderings of 1..4)
-go through it in one call, and the 3 x n table is counted on the outrank
-bitsets of the permutations. The test suite checks the batch paths against
-the scalar engine of :mod:`domsolve.elimination` state by state and against
-the raw dominance definition.
+chunks of ``CHUNK_STATES``, and the 3 x n table is counted on the outrank
+bitsets of the permutations in blocks of ``RANKING_BLOCK`` second rankings.
+Each chunk or block is a work item that returns integer counts, decided on
+the thread pool the Monte Carlo batches use
+(:func:`domsolve._simkernels.run_work_items`) with one thread per item and
+CPU; the counts are summed, so the results do not depend on the thread
+count. Each 2 x 2 class's states (built from the cell orderings of 1..4) go
+through the kernel in one call. The test suite checks the batch paths
+against the scalar engine of :mod:`domsolve.elimination` state by state and
+against the raw dominance definition.
 """
 
 from __future__ import annotations
@@ -32,10 +37,13 @@ from .rationalizability import _payoff_view
 
 MAX_FULL_2XN = 8
 MAX_UC_3XN = 6
-# States per batch-kernel call of enumerate_2xn. A multiple of 2^MAX_FULL_2XN,
-# so each call holds the row patterns of whole second rankings; bounded calls
+# States per work item of enumerate_2xn. A multiple of 2^MAX_FULL_2XN, so
+# each item holds the row patterns of whole second rankings; bounded items
 # keep peak memory flat in n (n = 8 has about 10^7 states).
-CHUNK_STATES = 1 << 14
+CHUNK_STATES = 1 << 13
+# Second rankings per work item of enumerate_undominated_3xn: one block up
+# to n = 5, six at n = 6.
+RANKING_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -83,11 +91,27 @@ def _states_2xn(perms: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.nda
     """
     n = perms.shape[1]
     states = np.arange(lo, hi)
-    top = (1 + (states[:, None] >> np.arange(n) & 1)).astype(np.int16)
+    pattern = (states & ((1 << n) - 1)).astype(np.int16)  # n <= 8 bits
+    top = 1 + (pattern[:, None] >> np.arange(n, dtype=np.int16) & 1)
     col_ranks = np.empty((hi - lo, 2, n), dtype=np.int16)
     col_ranks[:, 0] = np.arange(1, n + 1)
     col_ranks[:, 1] = perms[states >> n]
     return np.stack([top, 3 - top], axis=1), col_ranks
+
+
+def _tally_2xn(perms: np.ndarray, lo: int, hi: int) -> tuple:
+    """Integer counts of states lo..hi-1: the solvable states, and the
+    bincounts of the solvable states' iterations and of every state's
+    ``u_c`` and ``s_c``."""
+    n = perms.shape[1]
+    out = kernels.eliminate_batch(*_states_2xn(perms, lo, hi))
+    return (
+        int(out["solvable"].sum()),
+        # at most 3 rounds in 2 x n
+        np.bincount(out["iterations"][out["solvable"]], minlength=4),
+        np.bincount(out["u_c"], minlength=n + 1),
+        np.bincount(out["s_c"], minlength=n + 1),
+    )
 
 
 def enumerate_2xn(n: int) -> ExactDistributionReport:
@@ -97,28 +121,20 @@ def enumerate_2xn(n: int) -> ExactDistributionReport:
     Because column labels never matter, the first column ranking can be fixed
     to the identity: the state space is the n! second rankings crossed with
     the 2^n per-column row orders, all equally likely. The states go to
-    ``_simkernels.eliminate_batch`` as int16 rank stacks, ``CHUNK_STATES``
-    per call; the test suite checks every state for n <= 5 against the
-    scalar engine of :mod:`domsolve.elimination`.
+    ``_simkernels.eliminate_batch`` as int16 rank stacks, one work item of
+    ``CHUNK_STATES`` per call (six at n = 6, one up to n = 5), decided on
+    the shared thread pool and summed; the test suite checks every state
+    for n <= 5 against the scalar engine of :mod:`domsolve.elimination`.
     """
     if not 1 <= n <= MAX_FULL_2XN:
         raise CapacityError(f"enumerate_2xn supports 1 <= n <= {MAX_FULL_2XN}")
     perms = _permutations(n)
     total = math.factorial(n) * 2**n
-    solvable_states = 0
-    # iteration_states[i]: solvable states taking i rounds (at most 3 in 2 x n)
-    iteration_states = np.zeros(4, dtype=np.int64)
-    undominated_states = np.zeros(n + 1, dtype=np.int64)
-    survivor_states = np.zeros(n + 1, dtype=np.int64)
-    for lo in range(0, total, CHUNK_STATES):
-        out = kernels.eliminate_batch(*_states_2xn(perms, lo, min(lo + CHUNK_STATES, total)))
-        solvable_states += int(out["solvable"].sum())
-        iteration_states += np.bincount(out["iterations"][out["solvable"]], minlength=4)
-        undominated_states += np.bincount(out["u_c"], minlength=n + 1)
-        survivor_states += np.bincount(out["s_c"], minlength=n + 1)
-    iterations = iteration_states.tolist()
-    undominated = undominated_states.tolist()
-    survivors = survivor_states.tolist()
+    items = [(perms, lo, min(lo + CHUNK_STATES, total)) for lo in range(0, total, CHUNK_STATES)]
+    # As many threads as items: the pool clamps them to the CPUs.
+    parts = kernels.run_work_items(_tally_2xn, items, len(items))
+    solvable_states = sum(part[0] for part in parts)
+    iterations, undominated, survivors = (sum(part[i] for part in parts).tolist() for i in (1, 2, 3))
     return ExactDistributionReport(
         n=n,
         total_states=total,
@@ -135,15 +151,25 @@ def enumerate_2xn(n: int) -> ExactDistributionReport:
     )
 
 
+def _tally_3xn(c2_later: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Bincount of the undominated count over a block of second rankings
+    (their later-and-above sets ``c2_later``) crossed with every third
+    ranking's outrank sets ``above``: one (block, n!, n) AND."""
+    n = above.shape[1]
+    dominated = (c2_later[:, None, :] & above).astype(bool).sum(axis=2, dtype=np.uint8)
+    return np.bincount(n - dominated.ravel(), minlength=n + 1)
+
+
 def enumerate_undominated_3xn(n: int) -> list[int]:
     """Counts of second/third column-ranking pairs (first fixed to identity)
     leaving exactly k = 1..n column actions of a 3 x n game undominated.
 
     Enumerates all (n!)^2 pairs on the outrank bitsets of the n!
-    permutations (``_simkernels.outrank_bits``); row sums are (n!)^2 and the
-    counts generalize the unsigned Stirling numbers of the first kind. The
-    test suite checks them against a brute force over the raw dominance
-    definition.
+    permutations (``_simkernels.outrank_bits``), ``RANKING_BLOCK`` second
+    rankings per work item on the shared thread pool (one item up to n = 5,
+    so no pool starts); row sums are (n!)^2 and the counts generalize the
+    unsigned Stirling numbers of the first kind. The test suite checks them
+    against a brute force over the raw dominance definition.
     """
     if not 1 <= n <= MAX_UC_3XN:
         raise CapacityError(f"enumerate_undominated_3xn supports 1 <= n <= {MAX_UC_3XN}")
@@ -153,11 +179,10 @@ def enumerate_undominated_3xn(n: int) -> list[int]:
     # With the first ranking equal to the identity, column j is dominated
     # exactly when some k > j is ranked above j by both other rankings.
     later = np.array([(1 << n) - (2 << j) for j in range(n)], dtype=above.dtype)
-    counts = np.zeros(n + 1, dtype=np.int64)
-    for c2_later in above & later:
-        dominated = (c2_later & above).astype(bool).sum(axis=1)
-        counts += np.bincount(n - dominated, minlength=n + 1)
-    return counts[1:].tolist()
+    c2_later = above & later
+    items = [(c2_later[lo : lo + RANKING_BLOCK], above) for lo in range(0, len(above), RANKING_BLOCK)]
+    parts = kernels.run_work_items(_tally_3xn, items, len(items))
+    return sum(parts)[1:].tolist()
 
 
 @dataclass(frozen=True)

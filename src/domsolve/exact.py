@@ -224,15 +224,18 @@ def survivor_distribution_2xn(n: int, exact_limit: int = EXACT_LIMIT) -> list[Fr
     iterated elimination in a random 2 x n game.
 
     There is a spike at 1 equal to the solvability probability; for k >= 2
-    the undominated-count probabilities are discounted by 1 - 2^(1-k).
+    the undominated-count probabilities s(n, k) / n! are discounted by
+    1 - 2^(1-k), one Fraction s(n, k) (2^(k-1) - 1) / (n! 2^(k-1)) each.
     """
     _check_positive(n)
     if n > exact_limit:
         raise CapacityError(f"survivor_distribution_2xn supports n <= {exact_limit}")
-    dist = undominated_distribution_2xn(n, exact_limit)
+    row = stirling_row(n, exact_limit)
+    fact = math.factorial(n)
     out = [solvable_probability_2xn(n, exact_limit)]
     for k in range(2, n + 1):
-        out.append(dist[k - 1] * (1 - Fraction(1, 2 ** (k - 1))))
+        half = 1 << (k - 1)
+        out.append(Fraction(row[k - 1] * (half - 1), fact * half))
     return out
 
 

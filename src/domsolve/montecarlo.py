@@ -13,15 +13,15 @@ group is a run of consecutive batches, as many as fit in
 one), whose draws are concatenated and decided by one call of each batch
 rule. The group size depends on the spec alone, so the tallies do not
 depend on the thread count either. A pure batch is its own work item. Work
-items go to a thread pool only when there are two or more, with at most one
-thread per item and per CPU.
+items run by :func:`domsolve._simkernels.run_work_items`, the pool rule the
+enumeration oracles share: a pool starts only for two or more items, and
+min(threads, items, CPUs) threads, the calling one among them, take the
+items in turn.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -394,14 +394,8 @@ def _run_batches(spec: ExperimentSpec, threads: int) -> dict:
     starts = range(0, len(sizes), group)
     games_per_item = [sum(sizes[i : i + group]) for i in starts]
     worker = _mixed_batch_tallies if _TABLE[spec.metric].rule == _MIXED else _pure_batch_tallies
-    # Results do not depend on the thread count, so it is clamped freely.
-    workers = min(threads, len(starts), os.cpu_count() or 1)
-    if workers <= 1:
-        parts = [worker(spec, i, s) for i, s in zip(starts, games_per_item)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(worker, [spec] * len(starts), starts, games_per_item))
-    return _merge(parts)
+    items = [(spec, i, s) for i, s in zip(starts, games_per_item)]
+    return _merge(kernels.run_work_items(worker, items, threads))
 
 
 def run(spec: ExperimentSpec, threads: int = 1) -> Estimate | HistogramEstimate:

@@ -241,6 +241,18 @@ def test_enumerate_2x2_stdout_is_pinned(capsys, command):
     assert out == ENUMERATE_2X2_STDOUT[command]
 
 
+ENUMERATE_2XN_3XN_STDOUT = json.loads((Path(__file__).parent / "data" / "enumerate_2xn_3xn_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(ENUMERATE_2XN_3XN_STDOUT))
+def test_enumerate_2xn_3xn_stdout_is_pinned(capsys, command):
+    # full2xn at n = 6 (six chunks) and n = 7 (79 chunks) and uc3xn at n = 6
+    # (six blocks), in csv and json, byte for byte.
+    code, out, err = run_cli(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert out == ENUMERATE_2XN_3XN_STDOUT[command]
+
+
 def test_enumerate_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "enumerate", "uc3xn", "--n", "9")
     assert code == 3

@@ -85,13 +85,22 @@ def test_every_2xn_state_matches_scalar_engine(n):
     assert len(seen) == total
 
 
-@pytest.mark.parametrize("chunk", [1, 1000])
-def test_enumerate_2xn_chunking(monkeypatch, chunk):
-    # 1000 does not divide the 5! * 2^5 = 3840 states, so the last call is
-    # short and the others split second rankings.
-    want = enumerate_2xn(5)
+@pytest.mark.parametrize("n, chunk", [(5, 1), (5, 1000), (6, 1000), (6, 46080)])
+def test_enumerate_2xn_chunking(monkeypatch, n, chunk):
+    # 1000 divides neither 5! * 2^5 = 3840 nor 6! * 2^6 = 46080 states, so
+    # the last chunk is short and the others split second rankings; the
+    # default chunk gives six pooled chunks at n = 6 (the last short), and
+    # 46080 one chunk and no pool.
+    want = enumerate_2xn(n)
     monkeypatch.setattr(enumeration, "CHUNK_STATES", chunk)
-    assert enumerate_2xn(5) == want
+    assert enumerate_2xn(n) == want
+
+
+@pytest.mark.parametrize("oracle, n", [(enumerate_2xn, 6), (enumerate_2xn, 7), (enumerate_undominated_3xn, 6)])
+def test_enumeration_does_not_depend_on_the_cpu_count(monkeypatch, oracle, n):
+    want = oracle(n)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 1)
+    assert oracle(n) == want
 
 
 def test_enumerate_2xn_capacity():
@@ -245,10 +254,11 @@ def test_samplers_match_enumerated_2x2_distribution(cls):
     stream = sorted(c.value for c in GameClass).index(cls.value)
     rng = Seed(1234, stream).generator()
     rr, cc = kernels.sample_rank_batch(rng, draws, 2, 2, cls)
-    seen: dict = {}
-    for k in range(draws):
-        key = (tuple(map(tuple, rr[k])), tuple(map(tuple, cc[k])))
-        seen[key] = seen.get(key, 0) + 1
+    keys, counts = np.unique(np.concatenate([rr.reshape(draws, 4), cc.reshape(draws, 4)], axis=1), axis=0, return_counts=True)
+    seen = {
+        (tuple(map(tuple, g[:4].reshape(2, 2).tolist())), tuple(map(tuple, g[4:].reshape(2, 2).tolist()))): c
+        for g, c in zip(keys, counts.tolist())
+    }
     assert set(seen) <= set(report.outcome_probs)
     observed = [seen.get(key, 0) for key in report.outcome_probs]
     expected = [float(p) * draws for p in report.outcome_probs.values()]

@@ -138,6 +138,18 @@ def test_survivor_distribution():
             assert dist[0] > dist[1]
 
 
+def test_survivor_distribution_is_the_discounted_undominated_law():
+    # One Fraction per entry equals the undominated law discounted by
+    # 1 - 2^(1-k) in Fraction arithmetic.
+    for n in [*range(1, 301), 1000]:
+        undominated = undominated_distribution_2xn(n)
+        want = [solvable_probability_2xn(n)]
+        want += [undominated[k - 1] * (1 - Fraction(1, 2 ** (k - 1))) for k in range(2, n + 1)]
+        got = survivor_distribution_2xn(n)
+        assert got == want, n
+        assert all(type(p) is Fraction for p in got)
+
+
 def test_survivor_moments():
     assert mean_survivors_2xn(1) == 1
     assert var_survivors_2xn(1) == 0

@@ -1,5 +1,6 @@
 import math
 import os
+from concurrent.futures import Future
 import subprocess
 import sys
 from dataclasses import replace
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from domsolve import _simkernels as kernels, exact, games, montecarlo
+from domsolve import _simkernels as kernels, enumeration, exact, games, montecarlo
 from domsolve.games import COL, CardinalBimatrix, GameClass, Seed
 from domsolve.montecarlo import (
     CLT_MAX_N,
@@ -404,11 +405,12 @@ def test_mixed_groups_do_not_change_results(monkeypatch):
 
 
 class _RecordingPool:
-    """A stand-in ThreadPoolExecutor that records ``max_workers`` and maps
+    """A stand-in ThreadPoolExecutor that records the threads a run uses
+    (its ``max_workers`` and the calling thread) and runs what is submitted
     in the calling thread."""
 
     def __init__(self, made, max_workers):
-        made.append(max_workers)
+        made.append(max_workers + 1)
 
     def __enter__(self):
         return self
@@ -416,26 +418,56 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
 
 
 def test_thread_pool_is_clamped_to_items_and_cpus(monkeypatch):
     made = []
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
     spec = ExperimentSpec(PI, GameSource(m=3, n=3), 30, SEED, batch_size=10)
     want = montecarlo._run_batches(spec, 1)
     for cpus, workers in ((64, 3), (2, 2), (1, None), (None, None)):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(kernels.os, "cpu_count", lambda: cpus)
         made.clear()
         assert montecarlo._run_batches(spec, 10**6) == want
         assert made == ([] if workers is None else [workers]), cpus
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 64)
     made.clear()
     # one batch, and a mixed run of three batches in one group: no pool
     montecarlo._run_batches(replace(spec, samples=10), 10**6)
     montecarlo._run_batches(ExperimentSpec(MIXED_PI, GameSource(m=3, n=3), 600, SEED), 10**6)
     assert made == []
+
+
+def test_one_pool_rule_for_batches_and_enumeration(monkeypatch):
+    # Both callers go through kernels.run_work_items: one work item starts
+    # no pool, and several start one thread per item up to the CPUs.
+    made = []
+    monkeypatch.setattr(kernels, "ThreadPoolExecutor", lambda max_workers: _RecordingPool(made, max_workers))
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 64)
+    spec = ExperimentSpec(PI, GameSource(m=3, n=3), 10, SEED, batch_size=10)
+    montecarlo._run_batches(spec, 10**6)
+    enumeration.enumerate_2xn(5)  # 3840 states: one chunk
+    enumeration.enumerate_undominated_3xn(5)  # 120 second rankings: one block
+    assert made == []
+    montecarlo._run_batches(replace(spec, samples=40), 10**6)
+    enumeration.enumerate_2xn(6)  # 46080 states: six chunks, the last short
+    enumeration.enumerate_undominated_3xn(6)  # 720 second rankings: six blocks
+    assert made == [4, 6, 6]
+    monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
+    made.clear()
+    enumeration.enumerate_2xn(6)
+    enumeration.enumerate_undominated_3xn(6)
+    assert made == [2, 2]
+
+
+def test_run_work_items_keeps_item_order():
+    items = [(i, i * i) for i in range(7)]
+    for threads in (1, 2, 3, 10):
+        assert kernels.run_work_items(lambda a, b: a - b, items, threads) == [a - b for a, b in items]
 
 
 def test_determinism_repeated_runs():
