@@ -32,7 +32,8 @@ every game is unfinished a rule reads its arrays in place; later rounds
 gather the unfinished games only. Pure-Nash cells are counted apart
 (:func:`pure_nash_counts`), for the one metric that reads them, and
 :func:`batch_bytes` estimates a batch's peak memory for the capacity guard
-of :mod:`domsolve.montecarlo`.
+of :mod:`domsolve.montecarlo`. :func:`run_work_items` is the one thread
+pool rule, for Monte Carlo work items and enumeration chunks alike.
 
 Float payoff draws can tie with probability ~2**-53 per pair, and the
 class sampler keeps ties (its one tie policy). A tie fed to the kernels

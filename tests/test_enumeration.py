@@ -254,10 +254,13 @@ def test_samplers_match_enumerated_2x2_distribution(cls):
     stream = sorted(c.value for c in GameClass).index(cls.value)
     rng = Seed(1234, stream).generator()
     rr, cc = kernels.sample_rank_batch(rng, draws, 2, 2, cls)
-    keys, counts = np.unique(np.concatenate([rr.reshape(draws, 4), cc.reshape(draws, 4)], axis=1), axis=0, return_counts=True)
+    # Each draw's eight ranks (1..4) packed as int8 into one int64 key: a
+    # 1-D np.unique, where axis=0 would sort the rows as opaque items.
+    cells = np.concatenate([rr.reshape(draws, 4), cc.reshape(draws, 4)], axis=1).astype(np.int8)
+    keys, counts = np.unique(cells.view(np.int64).ravel(), return_counts=True)
     seen = {
         (tuple(map(tuple, g[:4].reshape(2, 2).tolist())), tuple(map(tuple, g[4:].reshape(2, 2).tolist()))): c
-        for g, c in zip(keys, counts.tolist())
+        for g, c in zip(keys.view(np.int8).reshape(-1, 8), counts.tolist())
     }
     assert set(seen) <= set(report.outcome_probs)
     observed = [seen.get(key, 0) for key in report.outcome_probs]

@@ -1,8 +1,8 @@
 import math
 import os
-from concurrent.futures import Future
 import subprocess
 import sys
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
