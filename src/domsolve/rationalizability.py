@@ -11,10 +11,10 @@ mixture sigma bounds the value from below (it dominates by at least
 ``lower``) and the opponent mixture tau bounds it from above. An action is
 dominated iff ``lower`` exceeds the tolerance; verdicts with a gap inside the
 tolerance are conservatively classified "not dominated". A problem whose
-certificates do not meet, or that exceeds the pivot cap, is re-solved with
-HiGHS (``scipy.optimize.linprog``, imported on first use) and counted as a
-fallback; a solver malfunction can only surface as an explicit error, never
-as a silently wrong certificate.
+certificates do not meet, or that exceeds the pivot cap, is re-solved by the
+same simplex in exact ``Fraction`` arithmetic and counted as a fallback; its
+certificates must then meet exactly, so a solver malfunction can only
+surface as an explicit error, never as a silently wrong certificate.
 
 Mixed dominance and point-rationalizability (iterated deletion of actions
 that are never a best response to any surviving pure opponent profile, an
@@ -31,20 +31,26 @@ independent beliefs differs and is out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _simkernels as kernels
 from .elimination import _dominated, _eliminate, _opponent_profiles, _views, iterate
+from .exact import CapacityError
 from .games import COL, ROW, CardinalBimatrix, OrdinalBimatrix, _action_index, check_action_sets, ordinalize
 from .games import OrdinalTensorGame
 
 _VERIFY_SLACK = 1e-9
-_FALLBACK_VERIFY_SLACK = 1e-6  # HiGHS solves to its own 1e-7 feasibility tolerance
 _PIVOT_EPS = 1e-12
 _PIVOTS_PER_DIMENSION = 10
+# Largest k + p of a gap game the exact fallback solves: a random 32 x 32
+# one takes 2.3 s (median of 5; 0.27 s at 19 x 20). The exact pivot cap,
+# comb(k + p, k), fits an int64 up to k + p = 66.
+EXACT_GAP_LIMIT = 64
 
 
 class LPSolveError(RuntimeError):
@@ -117,7 +123,7 @@ class GapSolution:
     ``lower[b] = min_j (sigma D)_j``; ``upper[b] = max_y (D tau)_y`` for the
     opponent mixture tau. Both are direct dot products, so
     ``lower <= value <= upper`` holds whatever the solver did.
-    ``fallback[b]`` marks problems that HiGHS solved.
+    ``fallback[b]`` marks problems that :func:`linprog` solved exactly.
     """
 
     sigma: np.ndarray
@@ -130,33 +136,53 @@ def solve_gap_games(gaps: np.ndarray, sizes: np.ndarray | None = None) -> GapSol
     """Solve the zero-sum games ``gaps`` (shape (B, k, p), maximizer on the
     k rows) together.
 
-    Each game is shifted and scaled to entries in [1, 3], so
-    max 1.y s.t. A y <= 1, y >= 0 starts feasible from the slack basis and
-    needs no phase 1. All unfinished problems pivot in lockstep under
-    Bland's rule; the slack duals give sigma and y gives tau. A problem that
-    hits its pivot cap, or whose certificates disagree by more than the
-    verification slack, is re-solved with HiGHS. The cap is
-    ``_PIVOTS_PER_DIMENSION`` times the problem's k + p; a caller that pads
-    problems passes their unpadded k + p as ``sizes``.
+    Each game is shifted and scaled to entries in [1, 3] (:func:`_shifted`),
+    so max 1.y s.t. A y <= 1, y >= 0 starts feasible from the slack basis
+    and needs no phase 1. All unfinished problems pivot in lockstep under
+    Bland's rule; the slack duals give sigma and y gives tau. The problems
+    that hit their pivot cap, or whose certificates disagree by more than
+    the verification slack, are re-solved exactly by one :func:`linprog`
+    call. The cap is ``_PIVOTS_PER_DIMENSION`` times the problem's k + p; a
+    caller that pads problems passes their unpadded k + p as ``sizes``.
     """
     gaps = np.asarray(gaps, dtype=float)
     batch, k, p = gaps.shape
     if sizes is None:
         sizes = np.full(batch, k + p)
-    scale = np.abs(gaps).max(axis=(1, 2), initial=0.0)
-    shifted = gaps / np.where(scale > 0, scale, 1.0)[:, None, None] + 2.0
+    shifted, scale = _shifted(gaps)
     duals, primal, capped = _lockstep_simplex(shifted, _PIVOTS_PER_DIMENSION * sizes)
     sigma = _normalized(duals)
     lower, upper = _certificate_bounds(gaps, sigma, _normalized(primal))
-    slack = _VERIFY_SLACK * np.maximum(1.0, scale)
-    fallback = capped | (np.abs(upper - lower) > slack)
-    for b in np.flatnonzero(fallback):
-        sigma_b, tau_b = _highs_gap_lp(gaps[b])
-        lo, up = _certificate_bounds(gaps[b : b + 1], sigma_b[None], tau_b[None])
-        if lo[0] > up[0] + _FALLBACK_VERIFY_SLACK * max(1.0, scale[b]):
-            raise LPSolveError("certificate failed re-verification")
-        sigma[b], lower[b], upper[b] = sigma_b, lo[0], up[0]
+    fallback = capped | (np.abs(upper - lower) > _VERIFY_SLACK * np.maximum(1.0, scale))
+    if fallback.any():
+        sigma[fallback], lower[fallback], upper[fallback] = linprog(gaps[fallback])
     return GapSolution(sigma=sigma, lower=lower, upper=upper, fallback=fallback)
+
+
+def linprog(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Float sigma, lower and upper (as in :class:`GapSolution`) of a stack
+    of gap games (B, k, p), solved exactly: float entries are dyadic, so the
+    games run as ``Fraction``s through :func:`_shifted` and
+    :func:`_lockstep_simplex`, where Bland's rule cannot cycle and the pivot
+    cap is the number of bases. Raises :class:`LPSolveError` unless lower ==
+    upper exactly, and :class:`CapacityError` for k + p above
+    ``EXACT_GAP_LIMIT`` before any ``Fraction`` is built."""
+    batch, k, p = gaps.shape
+    if k + p > EXACT_GAP_LIMIT:
+        raise CapacityError(f"the exact gap-game solve supports k + p <= {EXACT_GAP_LIMIT}, not {k + p}")
+    exact = np.frompyfunc(Fraction, 1, 1)(gaps)
+    duals, primal, _ = _lockstep_simplex(_shifted(exact)[0], np.full(batch, math.comb(k + p, k)))
+    sigma = _normalized(duals)
+    lower, upper = _certificate_bounds(exact, sigma, _normalized(primal))
+    if (lower != upper).any():
+        raise LPSolveError("exact certificates do not meet")
+    return sigma.astype(float), lower.astype(float), upper.astype(float)
+
+
+def _shifted(gaps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each (k, p) game over its scale (largest |entry|, returned too) + 2."""
+    scale = np.abs(gaps).max(axis=(1, 2), initial=0)
+    return gaps / np.where(scale > 0, scale, 1)[:, None, None] + 2, scale
 
 
 def _lockstep_simplex(
@@ -165,18 +191,20 @@ def _lockstep_simplex(
     """max 1.y s.t. a[b] y <= 1, y >= 0 for a stack of positive (k, p)
     matrices, problem b pivoting at most ``caps[b]`` times. Returns the
     slack duals (B, k), the primal y (B, p) and a mask of problems left
-    unsolved (pivot cap or a failed ratio test)."""
+    unsolved (pivot cap or a failed ratio test). Float64 ``a`` pivots with
+    tolerance ``_PIVOT_EPS``, an object array of ``Fraction``s exactly."""
     batch, k, p = a.shape
     width = p + k
-    tableau = np.zeros((batch, k + 1, width + 1))
+    eps = _PIVOT_EPS if a.dtype.kind == "f" else 0
+    tableau = np.zeros((batch, k + 1, width + 1), dtype=a.dtype)
     tableau[:, :k, :p] = a
-    tableau[:, :k, p:width] = np.eye(k)
-    tableau[:, :k, width] = 1.0
-    tableau[:, k, :p] = -1.0
+    tableau[:, :k, p:width] = np.eye(k, dtype=int)
+    tableau[:, :k, width] = 1
+    tableau[:, k, :p] = -1
     basis = np.tile(np.arange(p, width), (batch, 1))
     ids = np.arange(batch)
-    duals = np.zeros((batch, k))
-    primal = np.zeros((batch, p))
+    duals = np.zeros((batch, k), dtype=a.dtype)
+    primal = np.zeros((batch, p), dtype=a.dtype)
     unsolved = np.ones(batch, dtype=bool)
     rows = ids
     most = int(caps.max(initial=0))
@@ -185,21 +213,21 @@ def _lockstep_simplex(
         # Bland's rule: the lowest improving column enters; among the rows
         # tied at the minimum ratio, the one with the lowest basic variable
         # leaves. No improving column (argmax lands on a False) is optimal.
-        improving = tableau[:, k, :width] < -_PIVOT_EPS
+        improving = tableau[:, k, :width] < -eps
         entering = improving.argmax(axis=1)
         optimal = ~improving[rows, entering]
         if optimal.any():
             done = ids[optimal]
             unsolved[done] = False
             duals[done] = tableau[optimal, k, p:width]
-            values = np.zeros((done.size, width))
+            values = np.zeros((done.size, width), dtype=a.dtype)
             values[np.arange(done.size)[:, None], basis[optimal]] = tableau[optimal, :k, width]
             primal[done] = values[:, :p]
         column = tableau[rows, :, entering]  # the objective row's entry last
-        ratio = np.full((rows.size, k), np.inf)
-        np.divide(np.maximum(tableau[:, :k, width], 0.0), column[:, :k], out=ratio, where=column[:, :k] > _PIVOT_EPS)
+        ratio = np.full((rows.size, k), np.inf, dtype=a.dtype)
+        np.divide(np.maximum(tableau[:, :k, width], 0), column[:, :k], out=ratio, where=column[:, :k] > eps)
         best = ratio[rows, ratio.argmin(axis=1)]
-        keep = ~optimal & np.isfinite(best)
+        keep = ~optimal & (best < np.inf)
         if pivots >= least:
             keep &= caps[ids] > pivots
         if not keep.all():
@@ -208,7 +236,7 @@ def _lockstep_simplex(
             tableau, basis, ids = tableau[keep], basis[keep], ids[keep]
             entering, column, ratio, best = entering[keep], column[keep], ratio[keep], best[keep]
             rows = np.arange(ids.size)
-        tied = ratio <= best[:, None] + _PIVOT_EPS
+        tied = ratio <= best[:, None] + eps
         leaving = np.where(tied, basis, width).argmin(axis=1)
         pivot_row = tableau[rows, leaving] / column[rows, leaving][:, None]
         tableau -= column[:, :, None] * pivot_row[:, None, :]
@@ -219,7 +247,7 @@ def _lockstep_simplex(
 
 def _normalized(weights: np.ndarray) -> np.ndarray:
     """Rows clipped to >= 0 and scaled to sum 1 (uniform where all are 0)."""
-    weights = np.clip(weights, 0.0, None)
+    weights = np.clip(weights, 0, None)
     total = weights.sum(axis=1, keepdims=True)
     out = np.full_like(weights, 1.0 / weights.shape[1])
     np.divide(weights, total, out=out, where=total > 0)
@@ -232,39 +260,6 @@ def _certificate_bounds(
     lower = (sigma[:, :, None] * gaps).sum(axis=1).min(axis=1)
     upper = (gaps * tau[:, None, :]).sum(axis=2).max(axis=1)
     return lower, upper
-
-
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on the first fallback: scipy
-    takes about a second to import and nothing else needs it."""
-    from scipy.optimize import linprog as highs
-
-    return highs(*args, **kwargs)
-
-
-def _highs_gap_lp(gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """HiGHS solution of one gap game: max eps s.t. sigma . D_j >= eps for
-    every column j, sigma a distribution. Returns sigma and the opponent
-    mixture from the constraint duals."""
-    k, p = gap.shape
-    c = np.zeros(k + 1)
-    c[-1] = -1.0  # maximize eps
-    res = linprog(
-        c,
-        A_ub=np.hstack([-gap.T, np.ones((p, 1))]),
-        b_ub=np.zeros(p),
-        A_eq=np.hstack([np.ones((1, k)), np.zeros((1, 1))]),
-        b_eq=[1.0],
-        bounds=[(0, None)] * k + [(None, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise LPSolveError(
-            f"dominance LP failed (status {res.status}): {res.message}"
-        )
-    sigma = _normalized(res.x[None, :k])[0]
-    tau = _normalized(-res.ineqlin.marginals[None, :])[0]
-    return sigma, tau
 
 
 def is_mixed_dominated(
@@ -356,8 +351,8 @@ def rationalizable_batch(*payoffs: np.ndarray) -> dict:
     one call per round and check shape (:func:`_decide`); with N >= 3 that
     keeps the best responses to correlated beliefs. Returns the surviving masks under
     ``"rationalizable"``, the per-game round counts under ``"iterations"``,
-    and how many checks needed a solver (``"lp_checks"``) and HiGHS
-    (``"lp_fallbacks"``).
+    and how many checks needed a solver (``"lp_checks"``) and the exact
+    fallback (``"lp_fallbacks"``).
     """
     stacks = kernels._stacks(payoffs)  # (B, own actions, opponent profiles)
     beaten = [kernels.outrank_bits(s.transpose(0, 2, 1)) for s in stacks]  # once per batch

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from domsolve import cli, exact, games, montecarlo
+from domsolve import cli, exact, games, montecarlo, rationalizability
 from domsolve.cli import _EXACT_TABLES, _decimal, main
 
 
@@ -257,6 +257,17 @@ def test_enumerate_capacity_exit_code(capsys):
     code, _, err = run_cli(capsys, "enumerate", "uc3xn", "--n", "9")
     assert code == 3
     assert "capacity" in err
+
+
+def test_simulate_exact_fallback_capacity_exit_code(capsys, monkeypatch):
+    # Every LP check of a 3 x 3 game has k + p = 5 above the cap.
+    monkeypatch.setattr(rationalizability, "_PIVOTS_PER_DIMENSION", 0)
+    monkeypatch.setattr(rationalizability, "EXACT_GAP_LIMIT", 4)
+    code, out, err = run_cli(
+        capsys, "simulate", "--metric", "mixed-pi", "--m", "3", "--n", "3", "--samples", "300", "--seed", "1"
+    )
+    assert code == 3 and not out
+    assert err.startswith("capacity error:") and "Traceback" not in err
 
 
 def test_usage_error_exit_code(capsys):

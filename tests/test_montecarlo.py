@@ -672,7 +672,16 @@ def test_numpy_statistics_match_scipy():
 
 
 def test_import_does_not_load_scipy():
-    code = "import sys, domsolve, domsolve.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    # Neither the import nor a mixed run, nor its exact fallback, loads scipy.
+    code = (
+        "import sys, numpy as np, domsolve, domsolve.cli\n"
+        "from domsolve import montecarlo, rationalizability\n"
+        "from domsolve.games import Seed\n"
+        "montecarlo.solvability_chain(montecarlo.GameSource(m=3, n=3), 200, Seed(1))\n"
+        "rationalizability._PIVOTS_PER_DIMENSION = 0\n"
+        "assert rationalizability.solve_gap_games(np.random.default_rng(1).random((4, 3, 4)) - 0.5).fallback.all()\n"
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(kernels.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env

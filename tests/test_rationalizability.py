@@ -9,6 +9,7 @@ from scipy.optimize import linprog
 from domsolve import _simkernels as kernels
 from domsolve import montecarlo, rationalizability
 from domsolve.elimination import _eliminate, _opponent_profiles, iterate
+from domsolve.exact import CapacityError
 from domsolve.games import (
     COL,
     ROW,
@@ -408,8 +409,9 @@ def test_gap_solver_matches_linprog_reference():
 
 
 def test_gap_solver_fallback_agrees(monkeypatch):
-    # With no pivots allowed every problem goes to HiGHS; the verdicts and
-    # certificates must not change, and each problem is counted.
+    # With no pivots allowed every problem goes to the exact solve; the
+    # verdicts and certificates must not change, each problem is counted,
+    # and the exact certificates meet at the value.
     rng = np.random.default_rng(610)
     gaps = rng.random((40, 4, 5)) - rng.random((40, 1, 5))
     fast = solve_gap_games(gaps)
@@ -419,6 +421,20 @@ def test_gap_solver_fallback_agrees(monkeypatch):
     assert np.allclose(fast.lower, slow.lower, atol=1e-7)
     assert ((fast.lower > 1e-9) == (slow.lower > 1e-9)).all()
     assert (slow.lower <= slow.upper + 1e-6).all()
+    assert (slow.lower == slow.upper).all()
+
+
+def test_exact_solve_is_capped_before_any_fraction(monkeypatch):
+    def no_fractions(value):
+        raise AssertionError("a Fraction was built")
+
+    rng = np.random.default_rng(613)
+    monkeypatch.setattr(rationalizability, "_PIVOTS_PER_DIMENSION", 0)
+    monkeypatch.setattr(rationalizability, "EXACT_GAP_LIMIT", 9)
+    assert solve_gap_games(rng.random((3, 4, 5)) - 0.5).fallback.all()  # k + p = 9
+    monkeypatch.setattr(rationalizability, "Fraction", no_fractions)
+    with pytest.raises(CapacityError):
+        solve_gap_games(rng.random((3, 4, 6)) - 0.5)
 
 
 def test_padded_indices():

@@ -152,13 +152,16 @@ def _tensor_matches(ranks, dims):
             assert out["undominated"][player][g] == len(undominated_nplayer(game, player))
 
 
-def test_every_ordinal_3x3_game():
-    # All 6^3 * 6^3 = 46656 equiprobable ordinal 3 x 3 games: each column of
-    # the row ranks and each row of the column ranks is a permutation.
+def _every_ordinal_3x3():
+    """All 6^3 * 6^3 = 46656 equiprobable ordinal 3 x 3 games: each column
+    of the row ranks and each row of the column ranks is a permutation."""
     perms = np.array(list(itertools.permutations((1, 2, 3))), dtype=np.int16)
     per_player = np.array([perms[list(p)] for p in itertools.product(range(6), repeat=3)])
-    rr = np.repeat(per_player.transpose(0, 2, 1), 216, axis=0)
-    cc = np.tile(per_player, (216, 1, 1))
+    return np.repeat(per_player.transpose(0, 2, 1), 216, axis=0), np.tile(per_player, (216, 1, 1))
+
+
+def test_every_ordinal_3x3_game():
+    rr, cc = _every_ordinal_3x3()
     assert len({(r.tobytes(), c.tobytes()) for r, c in zip(rr, cc)}) == 46656
     _bimatrix_matches(rr, cc)
     out = kernels.eliminate_batch(rr, cc)
@@ -173,6 +176,30 @@ def test_every_ordinal_3x3_game():
         assert np.array_equal(got, want)
     assert np.array_equal(mixed["iterations"], out["iterations"])
     assert (mixed["lp_checks"], mixed["lp_fallbacks"]) == (29808, 0)
+
+
+def test_every_ordinal_3x3_gap_game_is_solved_exactly(monkeypatch):
+    # With no float pivots allowed every LP check goes to the exact
+    # fallback, which must put both certificates at the value 0 exactly.
+    # The 29808 checks hold only 20 distinct gap games, so each distinct
+    # one is solved once.
+    rr, cc = _every_ordinal_3x3()
+    solve, bounds = rationalizability.linprog, []
+
+    def distinct(gaps):
+        unique, inverse = np.unique(gaps, axis=0, return_inverse=True)
+        sigma, lower, upper = solve(unique)
+        bounds.append((lower, upper))
+        inverse = inverse.ravel()
+        return sigma[inverse], lower[inverse], upper[inverse]
+
+    monkeypatch.setattr(rationalizability, "_PIVOTS_PER_DIMENSION", 0)
+    monkeypatch.setattr(rationalizability, "linprog", distinct)
+    mixed = rationalizability.rationalizable_batch(rr.astype(float), cc.astype(float))
+    assert (mixed["lp_checks"], mixed["lp_fallbacks"]) == (29808, 29808)
+    assert all((lower == 0.0).all() and (upper == 0.0).all() for lower, upper in bounds)
+    for got, want in zip(mixed["rationalizable"], kernels.eliminate_batch(rr, cc)["alive"]):
+        assert np.array_equal(got, want)
 
 
 SIDES = st.one_of(st.integers(1, 4), st.integers(60, 70))
