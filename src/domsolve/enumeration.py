@@ -1,19 +1,23 @@
 """Exhaustive enumeration oracles over the finite outcome spaces.
 
-These decide every equiprobable state of a finite outcome space and count
-the outcomes, producing exact rational distributions that the closed forms
-in :mod:`domsolve.exact` must match with zero tolerance. The 2 x n states go
-through the batch elimination kernel of :mod:`domsolve._simkernels` in
-chunks of ``CHUNK_STATES``, and the 3 x n table is counted on the outrank
-bitsets of the permutations in blocks of ``RANKING_BLOCK`` second rankings.
-Each chunk or block is a work item that returns integer counts, decided on
-the thread pool the Monte Carlo batches use
-(:func:`domsolve._simkernels.run_work_items`) with one thread per item and
-CPU; the counts are summed, so the results do not depend on the thread
-count. Each 2 x 2 class's states (built from the cell orderings of 1..4) go
-through the kernel in one call. The test suite checks the batch paths
-against the scalar engine of :mod:`domsolve.elimination` state by state and
-against the raw dominance definition.
+These count the outcomes over every equiprobable state of a finite outcome
+space, producing exact rational distributions that the closed forms in
+:mod:`domsolve.exact` must match with zero tolerance. Both Appendix B spaces
+pair their states by an exact symmetry, so each oracle decides one state of
+every pair and counts it twice: the 2 x n states (complementing the row
+pattern) go through the batch elimination kernel of
+:mod:`domsolve._simkernels` in chunks of ``CHUNK_STATES``, and the 3 x n
+table (swapping the two free rankings) is counted on the outrank bitsets of
+the permutations in blocks of ``RANKING_BLOCK`` second rankings, each
+against the third rankings from its own block on. Each chunk or block is a
+work item that returns integer counts, decided on the thread pool the Monte
+Carlo batches use (:func:`domsolve._simkernels.run_work_items`) with one
+thread per item and CPU; the counts are summed, so the results do not
+depend on the thread count. Each 2 x 2 class's states (built from the cell
+orderings of 1..4) go through the kernel in one call. The test suite checks
+the batch paths against the scalar engine of :mod:`domsolve.elimination`
+state by state and against the raw dominance definition, and checks both
+symmetries state by state.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ from .rationalizability import _payoff_view
 
 MAX_FULL_2XN = 8
 MAX_UC_3XN = 6
-# States per work item of enumerate_2xn. A multiple of 2^MAX_FULL_2XN, so
-# each item holds the row patterns of whole second rankings; bounded items
-# keep peak memory flat in n (n = 8 has about 10^7 states).
+# Decided states per work item of enumerate_2xn. A multiple of
+# 2^(MAX_FULL_2XN - 1), so each item holds the decided row patterns of whole
+# second rankings; bounded items keep peak memory flat in n (n = 8 decides
+# about 5 * 10^6 states).
 CHUNK_STATES = 1 << 13
 # Second rankings per work item of enumerate_undominated_3xn: one block up
-# to n = 5, six at n = 6.
+# to n = 5, six at n = 6. Block i is paired with the third rankings from its
+# own first one on, so the blocks shrink along the ranking list.
 RANKING_BLOCK = 128
 
 
@@ -81,30 +87,35 @@ def _permutations(n: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int16)
 
 
-def _states_2xn(perms: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _states_2xn(
+    perms: np.ndarray, lo: int, hi: int, bits: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Row and column rank stacks (hi - lo, 2, n) of states lo..hi-1 of the
     reduced 2 x n state space.
 
-    State s pairs the second column ranking ``perms[s >> n]`` (the first is
-    the identity) with the row pattern s mod 2^n, whose bit j set means row
-    0 is the better row in column j.
+    State s pairs the second column ranking ``perms[s >> bits]`` (the first
+    is the identity) with the row pattern s mod 2^bits, whose bit j set
+    means row 0 is the better row in column j. The default ``bits = n``
+    lists every state; ``bits = n - 1`` lists the states whose pattern has
+    bit n - 1 clear, one of each complementary pair.
     """
     n = perms.shape[1]
+    bits = n if bits is None else bits
     states = np.arange(lo, hi)
-    pattern = (states & ((1 << n) - 1)).astype(np.int16)  # n <= 8 bits
+    pattern = (states & ((1 << bits) - 1)).astype(np.int16)  # n <= 8 bits
     top = 1 + (pattern[:, None] >> np.arange(n, dtype=np.int16) & 1)
     col_ranks = np.empty((hi - lo, 2, n), dtype=np.int16)
     col_ranks[:, 0] = np.arange(1, n + 1)
-    col_ranks[:, 1] = perms[states >> n]
+    col_ranks[:, 1] = perms[states >> bits]
     return np.stack([top, 3 - top], axis=1), col_ranks
 
 
 def _tally_2xn(perms: np.ndarray, lo: int, hi: int) -> tuple:
-    """Integer counts of states lo..hi-1: the solvable states, and the
-    bincounts of the solvable states' iterations and of every state's
-    ``u_c`` and ``s_c``."""
+    """Integer counts of the states lo..hi-1 whose row pattern has bit n - 1
+    clear: the solvable states, and the bincounts of the solvable states'
+    iterations and of every state's ``u_c`` and ``s_c``."""
     n = perms.shape[1]
-    out = kernels.eliminate_batch(*_states_2xn(perms, lo, hi))
+    out = kernels.eliminate_batch(*_states_2xn(perms, lo, hi, n - 1))
     return (
         int(out["solvable"].sum()),
         # at most 3 rounds in 2 x n
@@ -115,26 +126,41 @@ def _tally_2xn(perms: np.ndarray, lo: int, hi: int) -> tuple:
 
 
 def enumerate_2xn(n: int) -> ExactDistributionReport:
-    """Decide every equiprobable 2 x n state with the batch elimination
-    kernel and count the outcomes.
+    """Count the outcomes of every equiprobable 2 x n state, deciding one
+    state of each complementary pair with the batch elimination kernel.
 
     Because column labels never matter, the first column ranking can be fixed
     to the identity: the state space is the n! second rankings crossed with
-    the 2^n per-column row orders, all equally likely. The states go to
+    the 2^n per-column row orders, all equally likely.
+
+    Complementing the row pattern (s -> s ^ (2^n - 1), so the two rows trade
+    places in every column) leaves ``u_c``, ``s_r``, ``s_c``, the iteration
+    count and solvability unchanged, state by state. Column's dominance
+    reads Column's two rankings on the rows still alive, never the pattern.
+    Row's dominance reads the pattern only through whether the alive
+    columns' bits all agree, which complementing keeps. When they agree,
+    Row drops one row (the other one after complementing), and in the next
+    round Column keeps only the column it ranks best in the row left,
+    whichever row that is. So both states remove the same numbers of
+    actions in every round. Each pair holds one state whose pattern has
+    bit n - 1 clear: the n! 2^(n-1) such states go to
     ``_simkernels.eliminate_batch`` as int16 rank stacks, one work item of
-    ``CHUNK_STATES`` per call (six at n = 6, one up to n = 5), decided on
-    the shared thread pool and summed; the test suite checks every state
-    for n <= 5 against the scalar engine of :mod:`domsolve.elimination`.
+    ``CHUNK_STATES`` per call (three at n = 6, one up to n = 5), decided on
+    the shared thread pool and summed, and every count is doubled. The test
+    suite checks every state for n <= 5 against the scalar engine of
+    :mod:`domsolve.elimination`, and every complementary pair for n <= 6
+    against each other.
     """
     if not 1 <= n <= MAX_FULL_2XN:
         raise CapacityError(f"enumerate_2xn supports 1 <= n <= {MAX_FULL_2XN}")
     perms = _permutations(n)
-    total = math.factorial(n) * 2**n
-    items = [(perms, lo, min(lo + CHUNK_STATES, total)) for lo in range(0, total, CHUNK_STATES)]
+    decided = math.factorial(n) * 2 ** (n - 1)
+    items = [(perms, lo, min(lo + CHUNK_STATES, decided)) for lo in range(0, decided, CHUNK_STATES)]
     # As many threads as items: the pool clamps them to the CPUs.
     parts = kernels.run_work_items(_tally_2xn, items, len(items))
-    solvable_states = sum(part[0] for part in parts)
-    iterations, undominated, survivors = (sum(part[i] for part in parts).tolist() for i in (1, 2, 3))
+    solvable_states = 2 * sum(part[0] for part in parts)
+    iterations, undominated, survivors = ((2 * sum(part[i] for part in parts)).tolist() for i in (1, 2, 3))
+    total = 2 * decided
     return ExactDistributionReport(
         n=n,
         total_states=total,
@@ -152,35 +178,45 @@ def enumerate_2xn(n: int) -> ExactDistributionReport:
 
 
 def _tally_3xn(c2_later: np.ndarray, above: np.ndarray) -> np.ndarray:
-    """Bincount of the undominated count over a block of second rankings
-    (their later-and-above sets ``c2_later``) crossed with every third
-    ranking's outrank sets ``above``: one (block, n!, n) AND."""
+    """Bincount of the undominated count over a block of b second rankings
+    (their later-and-above sets ``c2_later``) crossed with the outrank sets
+    ``above`` of the third rankings from the block's first one on: one
+    (b, len(above), n) AND. A pair whose third ranking lies in the block
+    counts once, since its swap is in the block too; a pair whose third
+    ranking lies past the block counts twice, for its swap."""
     n = above.shape[1]
+    b = len(c2_later)
     dominated = (c2_later[:, None, :] & above).astype(bool).sum(axis=2, dtype=np.uint8)
-    return np.bincount(n - dominated.ravel(), minlength=n + 1)
+    inside = np.bincount(n - dominated[:, :b].ravel(), minlength=n + 1)
+    return inside + 2 * np.bincount(n - dominated[:, b:].ravel(), minlength=n + 1)
 
 
 def enumerate_undominated_3xn(n: int) -> list[int]:
     """Counts of second/third column-ranking pairs (first fixed to identity)
     leaving exactly k = 1..n column actions of a 3 x n game undominated.
 
-    Enumerates all (n!)^2 pairs on the outrank bitsets of the n!
-    permutations (``_simkernels.outrank_bits``), ``RANKING_BLOCK`` second
-    rankings per work item on the shared thread pool (one item up to n = 5,
-    so no pool starts); row sums are (n!)^2 and the counts generalize the
-    unsigned Stirling numbers of the first kind. The test suite checks them
-    against a brute force over the raw dominance definition.
+    With the first ranking the identity, column j is dominated iff some
+    k > j is ranked above j by both the second and the third ranking. That
+    condition is symmetric in those two rankings, so the pair (c2, c3) and
+    its swap (c3, c2) leave the same columns undominated, and the (n!)^2
+    pairs need only their upper triangle. The second rankings go in blocks
+    of ``RANKING_BLOCK`` per work item on the shared thread pool (one item
+    up to n = 5, so no pool starts); block [lo, hi) is paired with the third
+    rankings [lo, n!) on the outrank bitsets of the n! permutations
+    (``_simkernels.outrank_bits``), and pairs past hi count twice (at n = 6,
+    303360 pairs stand for 518400). Row sums are (n!)^2 and the counts
+    generalize the unsigned Stirling numbers of the first kind. The test
+    suite checks them against a brute force over the raw dominance
+    definition, and the swap symmetry pair by pair.
     """
     if not 1 <= n <= MAX_UC_3XN:
         raise CapacityError(f"enumerate_undominated_3xn supports 1 <= n <= {MAX_UC_3XN}")
     perms = _permutations(n)
     # Bit k of above[p, j] is set iff permutation p ranks column k above j.
     above = kernels.outrank_bits(perms[None])[0, :, :, 0]
-    # With the first ranking equal to the identity, column j is dominated
-    # exactly when some k > j is ranked above j by both other rankings.
     later = np.array([(1 << n) - (2 << j) for j in range(n)], dtype=above.dtype)
     c2_later = above & later
-    items = [(c2_later[lo : lo + RANKING_BLOCK], above) for lo in range(0, len(above), RANKING_BLOCK)]
+    items = [(c2_later[lo : lo + RANKING_BLOCK], above[lo:]) for lo in range(0, len(above), RANKING_BLOCK)]
     parts = kernels.run_work_items(_tally_3xn, items, len(items))
     return sum(parts)[1:].tolist()
 

@@ -85,12 +85,33 @@ def test_every_2xn_state_matches_scalar_engine(n):
     assert len(seen) == total
 
 
-@pytest.mark.parametrize("n, chunk", [(5, 1), (5, 1000), (6, 1000), (6, 46080)])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_complementing_the_row_pattern_keeps_every_outcome(n):
+    # enumerate_2xn decides the states whose pattern has bit n - 1 clear and
+    # counts each twice: every state must decide exactly as its complement,
+    # which trades the two rows in every column.
+    total = math.factorial(n) * 2**n
+    mask = (1 << n) - 1
+    rr, cc = _states_2xn(_permutations(n), 0, total)
+    partner = np.arange(total) ^ mask
+    assert (rr[partner] == rr[:, ::-1]).all() and (cc[partner] == cc).all()
+    out = kernels.eliminate_batch(rr, cc)
+    for key in ("u_c", "s_r", "s_c", "iterations", "solvable"):
+        assert (np.asarray(out[key])[partner] == np.asarray(out[key])).all(), key
+    # the decided half lists the states with bit n - 1 clear, in order
+    kept = np.flatnonzero((np.arange(total) >> (n - 1) & 1) == 0)
+    half_rr, half_cc = _states_2xn(_permutations(n), 0, total // 2, n - 1)
+    assert (half_rr == rr[kept]).all() and (half_cc == cc[kept]).all()
+
+
+@pytest.mark.parametrize("n, chunk", [(5, 1), (5, 1000), (6, 1000), (6, 23040)])
 def test_enumerate_2xn_chunking(monkeypatch, n, chunk):
-    # 1000 divides neither 5! * 2^5 = 3840 nor 6! * 2^6 = 46080 states, so
-    # the last chunk is short and the others split second rankings; the
-    # default chunk gives six pooled chunks at n = 6 (the last short), and
-    # 46080 one chunk and no pool.
+    # enumerate_2xn decides 5! * 2^4 = 1920 states at n = 5 and
+    # 6! * 2^5 = 23040 at n = 6. 1000 divides neither, so the last chunk is
+    # short, and it is no multiple of the 16 or 32 decided patterns of a
+    # second ranking, so chunks split second rankings; the default chunk
+    # gives three pooled chunks at n = 6 (the last short), and 23040 one
+    # chunk and no pool.
     want = enumerate_2xn(n)
     monkeypatch.setattr(enumeration, "CHUNK_STATES", chunk)
     assert enumerate_2xn(n) == want
@@ -114,6 +135,33 @@ def test_enumerate_undominated_3xn_small(n):
     assert counts == TABLE_3XN[n]
     assert undominated_3xn_brute(n) == TABLE_3XN[n]
     assert sum(counts) == math.factorial(n) ** 2
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_swapping_the_free_rankings_keeps_the_undominated_count(n):
+    # enumerate_undominated_3xn counts the upper triangle of the ranking
+    # pairs: the raw definition must give each (second, third) pair the
+    # same undominated count as the swapped pair.
+    perms = _permutations(n)
+    identity = np.arange(1, n + 1)
+    # beats[p, j, k]: ranking p puts column k above column j
+    beats = perms[:, None, :] > perms[:, :, None]
+    first = identity[None, :] > identity[:, None]
+    dominated = (first & beats[:, None] & beats[None, :]).any(axis=3)
+    undominated = n - dominated.sum(axis=2)
+    assert (undominated == undominated.T).all()
+    assert np.bincount(undominated.ravel(), minlength=n + 1)[1:].tolist() == TABLE_3XN[n]
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("block", [1, 7, 100, None])
+def test_enumerate_undominated_3xn_blocking(monkeypatch, n, block):
+    # Blocks of one ranking, blocks that split the list unevenly (7 and 100
+    # divide neither 120 nor 720), and one block of all n! rankings must
+    # all give the default table.
+    want = enumerate_undominated_3xn(n)
+    monkeypatch.setattr(enumeration, "RANKING_BLOCK", block or math.factorial(n))
+    assert enumerate_undominated_3xn(n) == want
 
 
 @pytest.mark.parametrize("n", range(1, 7))

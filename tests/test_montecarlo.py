@@ -454,9 +454,9 @@ def test_one_pool_rule_for_batches_and_enumeration(monkeypatch):
     enumeration.enumerate_undominated_3xn(5)  # 120 second rankings: one block
     assert made == []
     montecarlo._run_batches(replace(spec, samples=40), 10**6)
-    enumeration.enumerate_2xn(6)  # 46080 states: six chunks, the last short
+    enumeration.enumerate_2xn(6)  # 23040 decided states: three chunks, the last short
     enumeration.enumerate_undominated_3xn(6)  # 720 second rankings: six blocks
-    assert made == [4, 6, 6]
+    assert made == [4, 3, 6]
     monkeypatch.setattr(kernels.os, "cpu_count", lambda: 2)
     made.clear()
     enumeration.enumerate_2xn(6)
